@@ -5,8 +5,8 @@
 Runs one workload (see ``workloads.py``) on one local Spark session
 (``local[nproc]``) from one process, with one client and no extra
 threads: set-up, one warm-up pass, then timed passes that fit in
-``--seconds``. Every answer is checked against ``expected.json`` and across
-systems; a wrong answer makes the run exit with code 1.
+``--seconds``. Every answer is checked against ``expected.json``; a wrong
+answer makes the run exit with code 1.
 
 ``--trace 0`` reports the end-to-end metrics. ``--trace 1`` makes a
 separate traced run: untraced passes (the per-query latencies and the
@@ -152,7 +152,7 @@ class Loop:
     def run_pass(self, label: str, run_query) -> tuple[float, dict[str, float]]:
         """Run every query once in seeded order; return the pass wall time
         and each query's latency."""
-        from workloads import check, disagreements
+        from workloads import check
 
         order = self.rng.sample(self.workload.queries, len(self.workload.queries))
         outcomes, latency = [], {}
@@ -167,12 +167,9 @@ class Loop:
             latency[q.key] = time.perf_counter() - tq
             outcomes.append((q, status, value))
         wall = time.perf_counter() - t0
-        bad = disagreements(outcomes)
         for q, status, value in outcomes:
             self.attempted += 1
             why = check(q, status, value, self.expected)
-            if why is None and q in bad:
-                why = "disagrees with another system on the same cell"
             if why is not None:
                 self.failures.append({"pass": label, "query": q.key, "why": why})
         return wall, latency
@@ -260,7 +257,6 @@ def per_layer(spark, loop: Loop, tracer, walls, untraced_walls) -> tuple[dict, d
         "core.codegen.kernel_source.s": (span["core.codegen.kernel_source"][1] / n, "s"),
         "core.codegen.kernel.replay_s": (kernel_s, "s"),
         "core.setops.touches": (c["core.setops.touches"] / n, "count"),
-        "core.setops.replay.tasks": (sum(r["tasks"] for r in replays), "count"),
         "core.setops.replay.calls": (sum(r["calls"] for r in replays), "count"),
         "core.setops.replay.s": (setops_s, "s"),
         "core.setops.replay_share": (setops_s / kernel_s if kernel_s else 0.0, "ratio"),
@@ -353,7 +349,7 @@ def main(argv=None) -> int:
         stop_spark(spark)
 
     failed = len(loop.failures)
-    report["failed_share"] = failed / loop.attempted
+    report["failed_share"] = {"value": failed / loop.attempted, "unit": "ratio"}
     report["failures"] = loop.failures
     print(json.dumps({"report": report}))
     print(json.dumps({"correct": failed == 0, "attempted": loop.attempted,

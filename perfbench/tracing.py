@@ -8,10 +8,12 @@ that a driver-side wrapper cannot reach, so the set-op share is measured
 by replaying each DFS query's generated kernel on the driver
 (``replay_kernel``) with a timing proxy for the kernel's ``ops`` argument.
 
-``traced_cell`` mirrors the body of ``repro.harness.run_cell``: it calls
-the same public functions under the same watchdog, and additionally reads
-the Spark job group the watchdog set, so the Spark job, stage and task
-counts of each query can be taken from the status tracker.
+``traced_cell`` calls ``repro.harness.run_cell`` itself. ``run_cell``
+binds ``run_with_timeout``, ``build_csr`` and ``count_motifs`` by name, so
+those are wrapped in ``repro.harness``'s namespace; the wrapped watchdog
+records the Spark job group it set and the body's wall time, so the
+Spark job, stage and task counts of each query can be taken from the
+status tracker.
 """
 from __future__ import annotations
 
@@ -22,13 +24,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro import harness, memory as memmod, timeout as timeoutmod
+from repro import harness, memory as memmod
 from repro.core import codegen, counting, engine_bfs, engine_dfs, fsm as fsmmod
-from repro.core import motifs as motifsmod
-from repro.core.pattern import clique
 from repro.core.setops import BACKENDS, Counter
 from repro.graph import csr as csrmod, gen
-from repro.systems import SYSTEMS
 
 #: Most tasks replayed per DFS query; tasks are taken at an even stride.
 REPLAY_TASKS = 2000
@@ -48,6 +47,8 @@ class Tracer:
         self._dfs: dict | None = None  # the DFSEngine.count call in progress
         self.query_key = ""
         self.query_calls = 0  # DFSEngine.count calls so far in this query
+        self.group: str | None = None  # Spark job group of the query's watchdog
+        self.body_s: float | None = None  # wall time of the query's body
 
     @contextmanager
     def span(self, name: str):
@@ -118,6 +119,21 @@ class Tracer:
             finally:
                 tracer._dfs = None
 
+        run_with_timeout = harness.run_with_timeout
+
+        def traced_run_with_timeout(spark, fn, timeout_s):
+            sc = spark.sparkContext
+
+            def body():
+                tracer.group = sc.getLocalProperty("spark.jobGroup.id")
+                t0 = time.perf_counter()
+                try:
+                    return fn()
+                finally:
+                    tracer.body_s = time.perf_counter() - t0
+
+            return run_with_timeout(spark, body, timeout_s)
+
         alloc = memmod.MemoryMeter.alloc
 
         def traced_alloc(meter, what, nbytes):
@@ -128,8 +144,10 @@ class Tracer:
                 tracer.counts["memory.ledger_peak_bytes"] = max(peak, meter.peak)
 
         patches = [
+            (harness, "run_with_timeout", traced_run_with_timeout),
             (gen, "generate_graph", self._wrap(gen.generate_graph, "graph.gen")),
             (csrmod, "build_csr", self._wrap(csrmod.build_csr, "graph.csr.build")),
+            (harness, "build_csr", self._wrap(harness.build_csr, "graph.csr.build")),
             (csrmod.CSRGraph, "orient",
              self._wrap(csrmod.CSRGraph.orient, "graph.csr.orient", on_orient)),
             (csrmod.CSRGraph, "edge_tasks",
@@ -143,8 +161,8 @@ class Tracer:
              self._wrap(engine_bfs.BFSEngine.count, "core.engine_bfs.count")),
             (counting, "edge_triangle_stats",
              self._wrap(counting.edge_triangle_stats, "core.counting.edge_triangle_stats")),
-            (motifsmod, "count_motifs",
-             self._wrap(motifsmod.count_motifs, "core.motifs.count_motifs")),
+            (harness, "count_motifs",
+             self._wrap(harness.count_motifs, "core.motifs.count_motifs")),
             (fsmmod, "fsm3", self._wrap(fsmmod.fsm3, "core.fsm.fsm3", on_fsm3)),
             (memmod.MemoryMeter, "alloc", traced_alloc),
         ]
@@ -158,67 +176,23 @@ class Tracer:
                 setattr(owner, attr, fn)
 
 
-def _cell_body(spark, q):
-    """The body of ``repro.harness.run_cell`` for query ``q``, calling the
-    same public functions through their modules so the tracer sees them."""
-    system = SYSTEMS[q.system]
-    kind, graph = q.workload[0], q.graph
-    if kind == "tc":
-        return system.make_engine().count(spark, harness.get_csr(graph), clique(3))
-    if kind == "kcl":
-        return system.make_engine().count(
-            spark, harness.get_csr(graph), clique(q.workload[1])
-        )
-    if kind == "sl":
-        return system.make_engine().count(
-            spark, harness.get_csr(graph), harness.sl_pattern(q.workload[1])
-        )
-    if kind == "mc":
-        return motifsmod.count_motifs(
-            spark, harness.get_csr(graph), q.workload[1], system.make_engine()
-        )
-    if kind == "fsm":
-        adj, labels = gen.adj_pdf(graph), gen.labels_pdf(graph)
-        out = fsmmod.fsm3(spark, adj, labels, q.workload[1], variant=system.fsm_variant)
-        return len(out)
-    if kind == "counting" and q.workload[1] == "diamond":
-        return counting.diamond_counting_only(
-            spark, harness.get_csr(graph), backend=system.setops_backend
-        )
-    raise ValueError(f"the traced run does not cover {q.key}")
-
-
 def traced_cell(spark, q, tracer: Tracer, timeout_s: float):
-    """Run ``q`` like ``run_cell`` does, under spans; return (status, value)."""
-    sc = spark.sparkContext
-    group: dict[str, str] = {}
-    body_s: list[float] = []
-
-    def body():
-        group["id"] = sc.getLocalProperty("spark.jobGroup.id")
-        t0 = time.perf_counter()
-        try:
-            return _cell_body(spark, q)
-        finally:
-            body_s.append(time.perf_counter() - t0)
-
+    """Run ``q`` through ``repro.harness.run_cell`` under spans; return
+    (status, value). The wrapped watchdog records the query's Spark job
+    group and body time, so Spark counts and watchdog time can be read."""
     tracer.query_key, tracer.query_calls = q.key, 0
+    tracer.group, tracer.body_s = None, None
     t0 = time.perf_counter()
-    try:
-        with tracer.patched():
-            value = timeoutmod.run_with_timeout(spark, body, timeout_s)
-        status = "ok"
-    except memmod.OutOfMemoryError:
-        status, value = "OoM", None
-        tracer.counts["memory.oom"] += 1
-    except timeoutmod.TimeoutError_:
-        status, value = "TO", None
+    with tracer.patched():
+        r = harness.run_cell(spark, q.system, q.workload, q.graph, timeout_s=timeout_s)
     wall = time.perf_counter() - t0
-    if body_s:
-        tracer.counts["timeout.watchdog.s"] += wall - body_s[0]
-    if group.get("id"):
-        _count_spark(sc.statusTracker(), group["id"], tracer)
-    return status, value
+    if r.status == "OoM":
+        tracer.counts["memory.oom"] += 1
+    if tracer.body_s is not None:
+        tracer.counts["timeout.watchdog.s"] += wall - tracer.body_s
+    if tracer.group:
+        _count_spark(spark.sparkContext.statusTracker(), tracer.group, tracer)
+    return r.status, r.value
 
 
 def _count_spark(st, group: str, tracer: Tracer) -> None:

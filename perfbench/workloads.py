@@ -6,8 +6,9 @@ the previous one has returned. The seed only sets the query order within
 each pass; the graphs are the fixed, calibrated Table 3 stand-ins.
 
 Every query has a checked-in expected status and value in
-``expected.json`` (see ``check``); cells that several systems compute
-must also agree with each other (``disagreements``).
+``expected.json`` (see ``check``). Cells that several systems compute
+share one expected value (``load_expected`` enforces this), so systems
+whose answers all pass ``check`` also agree with each other.
 """
 from __future__ import annotations
 
@@ -154,16 +155,3 @@ def check(q: Query, status: str, value, expected: dict[str, dict]) -> str | None
         return f"value {normalize(value)}, expected {exp['value']}"
     return None
 
-
-def disagreements(outcomes: list[tuple[Query, str, object]]) -> set[Query]:
-    """Queries whose value differs from another system's value on the same
-    cell within one pass (every system that finishes a cell must agree)."""
-    by_cell: dict[str, list[tuple[Query, object]]] = {}
-    for q, status, value in outcomes:
-        if status == "ok":
-            by_cell.setdefault(q.cell, []).append((q, normalize(value)))
-    bad: set[Query] = set()
-    for rows in by_cell.values():
-        if len({json.dumps(v, sort_keys=True) for _, v in rows}) > 1:
-            bad.update(q for q, _ in rows)
-    return bad
