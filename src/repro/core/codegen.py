@@ -73,8 +73,11 @@ def kernel_source(plan: SearchPlan, mode: str, *, assume_reduced: bool = True) -
     """Generate the DFS kernel source for ``plan``.
 
     ``mode='edge'``: the task is an edge (v0, v1) — G2Miner's default
-    edge parallelism (SS5.1(2)). ``mode='vertex'``: the task is a root
-    vertex v0 and the kernel owns the v1 loop — the CPU-system default.
+    edge parallelism (SS5.1(2)) one task at a time; the engine runs edge
+    mode batched (``engine_dfs.batch_count``), and this form serves
+    ``per_task_costs`` and the tests' reference. ``mode='vertex'``: the
+    task is a root vertex v0 and the kernel owns the v1 loop — the
+    CPU-system default.
     ``assume_reduced`` says the task edgelist already satisfies the v0/v1
     symmetry bound (opt J), so no guard is generated.
     """

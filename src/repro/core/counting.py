@@ -17,21 +17,23 @@ pattern decomposition [82]" and is property-tested against direct induced
 enumeration.
 
 The per-edge triangle statistics pass (``edge_triangle_stats``) is one
-Spark ``mapInPandas`` sweep over the reduced edgelist computing, per edge
-(u, v): t_e = |N(u) ∩ N(v)| and the degree sums over the triangle apexes —
-enough for T, the non-induced diamond count, and the non-induced
-tailed-triangle count in a single pass (the W-buffer reuse of Algorithm 1).
+Spark sweep (``engine_dfs.run_slices``) over the reduced edgelist
+computing, per edge (u, v): t_e = |N(u) ∩ N(v)| and the degree sums over
+the triangle apexes — enough for T, the non-induced diamond count, and the
+non-induced tailed-triangle count in a single pass (the W-buffer reuse of
+Algorithm 1).
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.engine_dfs import DFSEngine
+from repro.core.engine_dfs import (
+    MAX_STEP, DFSEngine, chunks, edge_keys, expand, member, run_slices,
+)
 from repro.core.pattern import Pattern, clique, cycle, motifs
 from repro.core.setops import BACKENDS
 from repro.graph.csr import CSRGraph
@@ -68,54 +70,66 @@ def conversion_matrix() -> np.ndarray:
     return M
 
 
-def _stats_worker(bc, backend: str):
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        ops = BACKENDS[backend]
-        deg = np.diff(indptr)
-        t_sum = 0  # sum of t_e  (= 3T)
-        d_sum = 0  # sum of C(t_e, 2)  (= non-induced diamonds)
-        paw3 = 0  # sum over (edge, apex) of (d_u + d_v + d_w - 6)  (= 3*paw)
-        for pdf in batches:
-            for u, v in zip(pdf["v0"].values, pdf["v1"].values):
-                nu = indices[indptr[u] : indptr[u + 1]]
-                nv = indices[indptr[v] : indptr[v + 1]]
-                w = ops.intersect(nu, nv, None)
-                t = len(w)
-                if t:
-                    t_sum += t
-                    d_sum += t * (t - 1) // 2
-                    paw3 += int(deg[w].sum()) + t * int(deg[u] + deg[v] - 6)
-        yield pd.DataFrame({"t_sum": [t_sum], "d_sum": [d_sum], "paw3": [paw3]})
+def _stats_batch(graph, tasks):
+    """The stats sweep with the batched kernel's expand/membership code."""
+    indptr, keys = graph
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    t_sum = d_sum = paw3 = 0
+    u, v = tasks[:, 0], tasks[:, 1]
+    for lo, hi in chunks(deg[u], MAX_STEP):
+        du, dv = deg[u[lo:hi]], deg[v[lo:hi]]
+        row, w = expand(keys, u[lo:hi], indptr[u[lo:hi]], du, n)
+        hit = member(keys, v[lo:hi][row], w, n)
+        t = np.bincount(row[hit], minlength=hi - lo)
+        t_sum += int(t.sum())
+        d_sum += int((t * (t - 1)).sum()) // 2
+        paw3 += int(deg[w[hit]].sum()) + int((t * (du + dv - 6)).sum())
+    return t_sum, d_sum, paw3
 
-    return worker
+
+def _stats_scalar(backend: str, graph, tasks):
+    """The stats sweep one edge at a time with ``backend``'s set ops."""
+    indptr, indices = graph
+    ops = BACKENDS[backend]
+    deg = np.diff(indptr)
+    t_sum = 0  # sum of t_e  (= 3T)
+    d_sum = 0  # sum of C(t_e, 2)  (= non-induced diamonds)
+    paw3 = 0  # sum over (edge, apex) of (d_u + d_v + d_w - 6)  (= 3*paw)
+    for u, v in tasks.tolist():
+        nu = indices[indptr[u] : indptr[u + 1]]
+        nv = indices[indptr[v] : indptr[v + 1]]
+        w = ops.intersect(nu, nv, None)
+        t = len(w)
+        if t:
+            t_sum += t
+            d_sum += t * (t - 1) // 2
+            paw3 += int(deg[w].sum()) + t * int(deg[u] + deg[v] - 6)
+    return t_sum, d_sum, paw3
 
 
 def edge_triangle_stats(
-    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy", num_partitions: int = 16
+    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy"
 ) -> dict[str, int]:
-    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}."""
+    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}.
+
+    The ``numpy`` backend sweeps each device's slice with the batched
+    kernel's code; the ``python`` backend (Peregrine) keeps a scalar
+    per-edge loop.
+    """
     tasks = csr.edge_tasks("gt")
-    bc = spark.sparkContext.broadcast((csr.indptr, csr.indices))
-    try:
-        pdf = pd.DataFrame({"v0": tasks[:, 0], "v1": tasks[:, 1]})
-        out = (
-            spark.createDataFrame(pdf)
-            .mapInPandas(
-                _stats_worker(bc, backend), schema="t_sum long, d_sum long, paw3 long"
-            )
-            .groupBy()
-            .sum()
-            .collect()[0]
-        )
-        t_sum, d_sum, paw3 = (int(x or 0) for x in out)
-        return {
-            "T": t_sum // 3,
-            "diamond_non": d_sum,
-            "paw_non": paw3 // 3,
-        }
-    finally:
-        bc.unpersist()
+    if backend == "numpy":
+        graph, worker = (csr.indptr, edge_keys(csr)), _stats_batch
+    else:
+        graph, worker = (csr.indptr, csr.indices), partial(_stats_scalar, backend)
+    t_sum, d_sum, paw3 = run_slices(
+        spark, graph, tasks, worker, ("t_sum", "d_sum", "paw3")
+    )
+    return {
+        "T": t_sum // 3,
+        "diamond_non": d_sum,
+        "paw_non": paw3 // 3,
+    }
 
 
 def count3_counting_only(
@@ -137,9 +151,7 @@ def count4_counting_only(
     """All six induced 4-motif counts from decompositions + two real
     enumerations (4-clique, 4-cycle)."""
     engine = engine or DFSEngine()
-    stats = edge_triangle_stats(
-        spark, csr, backend=backend, num_partitions=engine.cfg.num_partitions
-    )
+    stats = edge_triangle_stats(spark, csr, backend=backend)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
     k4 = engine.count(spark, csr, clique(4))
@@ -152,16 +164,16 @@ def count4_counting_only(
         [p4_non, claw_non, stats["paw_non"], c4_non, stats["diamond_non"], k4],
         dtype=np.int64,
     )
+    # Exact back-substitution: M is unit upper-triangular over the integers.
     M = conversion_matrix()
-    induced = np.linalg.solve(M.astype(np.float64), non_induced.astype(np.float64))
-    induced = np.rint(induced).astype(np.int64)
+    induced = np.zeros_like(non_induced)
+    for i in reversed(range(len(induced))):
+        induced[i] = non_induced[i] - M[i, i + 1 :] @ induced[i + 1 :]
     return dict(zip(MOTIF4_NAMES, induced.tolist()))
 
 
 def diamond_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy", num_partitions: int = 16
+    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy"
 ) -> int:
     """Algorithm 3: edge-induced diamond count = sum_e C(t_e, 2)."""
-    return edge_triangle_stats(
-        spark, csr, backend=backend, num_partitions=num_partitions
-    )["diamond_non"]
+    return edge_triangle_stats(spark, csr, backend=backend)["diamond_non"]

@@ -4,13 +4,20 @@ Execution model (the warp-centric two-level parallelism of SS5.1, ported to
 the Spark dataflow model):
 
 - *Tasks* are edges (G2Miner default) or root vertices (CPU systems): a
-  numpy task array turned into a Spark DataFrame, pre-permuted with the
-  chunked round-robin order (SS7.1 policy 3) so contiguous Spark partitions
-  receive balanced work.
-- Each partition executes the pattern's *generated kernel* (codegen.py)
-  task-by-task via ``mapInPandas`` against a broadcast CSR — one Spark
-  task = one "GPU", one data-graph task = one "warp", and the vectorised
-  numpy set ops inside the kernel are the intra-warp data parallelism.
+  numpy task array, pre-permuted with the chunked round-robin order
+  (SS7.1 policy 3), broadcast once with the graph. ``run_slices`` gives
+  each Spark partition one contiguous slice of it: one Spark task = one
+  "GPU".
+- Edge mode runs the *batched kernel* (``batch_count``) over the device's
+  whole slice, one pattern level at a time: an expansion step over the
+  slice is the set of warps, each candidate check one warp lane's work.
+  Level-at-a-time inside a slice is the bounded BFS of opt M, and the step
+  is sized from the device-memory ledger (opt K); across steps the search
+  stays depth first. Membership is a ``searchsorted`` into the row-major
+  edge keys ``u*n+v``, broadcast in place of the neighbour indices.
+- Vertex mode (the CPU systems' documented strategy) runs the pattern's
+  *generated kernel* (codegen.py) task by task with that system's set-op
+  backend.
 - Cliques get the special paths of the paper: orientation (opt A),
   DAG-edge tasks, and local-graph search with the dense bitmap format
   (opts E+F) guarded by the input-aware Delta threshold.
@@ -22,7 +29,8 @@ scheduling simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -53,6 +61,13 @@ class DFSConfig:
     memory_budget: int = memmod.GPU_MEM_BYTES
     lgs_delta_threshold: int = 4096  # input-aware LGS guard (SS5.4(2))
     chunked_schedule: bool = True  # opt G analog for partition balance
+
+    def __post_init__(self):
+        if self.parallelism == "edge" and self.setops != "numpy":
+            raise ValueError(
+                "edge parallelism runs the batched numpy kernel; "
+                f"setops={self.setops!r} needs parallelism='vertex'"
+            )
 
 
 def oriented_clique_plan(k: int) -> SearchPlan:
@@ -99,84 +114,212 @@ def _local_clique_count(A: np.ndarray, s: int) -> int:
     return rec(np.ones(A.shape[0], dtype=bool), s)
 
 
-# -- mapInPandas workers (module-level for clean pickling) ---------------
+# -- batched edge kernel (G2Miner edge mode) -----------------------------
 
-def _make_edge_worker(bc, kernel_src: str, backend: str):
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        ns: dict = {}
-        exec(compile(kernel_src, "<kernel>", "exec"), ns)
-        kernel = ns["kernel"]
-        ops = BACKENDS[backend]
-        ctr = Counter()
+#: Most candidates one batched expansion may hold: the cap on the frontier
+#: step that opt K sizes from the ledger (``DFSEngine._frontier_step``).
+MAX_STEP = 1 << 14
+
+
+def edge_keys(g: CSRGraph) -> np.ndarray:
+    """Row-major edge keys ``u * n + v``, ascending.
+
+    The same bytes as ``g.indices``, in a form that one ``searchsorted``
+    probes for any edge: row u's neighbour list is
+    ``keys[indptr[u]:indptr[u+1]] - u * n``.
+    """
+    return np.repeat(np.arange(g.n, dtype=np.int64) * g.n, g.degrees) + g.indices
+
+
+def chunks(lens: np.ndarray, step: int) -> Iterator[tuple[int, int]]:
+    """Contiguous row ranges whose expansions hold at most ``step``
+    candidates in total. A single row always runs: its list is <= Delta."""
+    cum = np.cumsum(lens)
+    lo = 0
+    while lo < len(lens):
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + step, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def expand(
+    keys: np.ndarray, u: np.ndarray, start: np.ndarray, lens: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate, for every row, ``lens`` neighbours of its vertex ``u``
+    from key position ``start`` on.
+
+    Returns ``(row, cand)``: each candidate and the row it came from. Rows
+    stay in order and each row's candidates stay sorted.
+    """
+    row = np.repeat(np.arange(len(u)), lens)
+    pos = np.arange(len(row)) + (start - (np.cumsum(lens) - lens))[row]
+    return row, keys[pos] - u[row] * n
+
+
+def member(keys: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Batched edge test: is (a[i], b[i]) an edge, for every i."""
+    q = a * n + b
+    idx = np.searchsorted(keys, q)
+    return keys[np.minimum(idx, len(keys) - 1)] == q
+
+
+def batch_count(
+    plan: SearchPlan,
+    indptr: np.ndarray,
+    keys: np.ndarray,
+    tasks: np.ndarray,
+    step: int,
+    *,
+    reduced: bool = True,
+) -> tuple[int, int]:
+    """Count ``plan``'s matches rooted at a slice of edge tasks.
+
+    Level at a time over the whole slice (opt M's bounded BFS): level i
+    expands the neighbours of ``conn[i][0]`` that ``upper``/``lower``
+    leave, for at most ``step`` candidates at once, masks ``excl``, and
+    checks the other ``conn`` members (and the ``anti`` members of a
+    vertex-induced plan) with one ``searchsorted`` each; the leaf sums
+    the mask, or counts pairs when ``plan.leaf_reuse()``. Across steps the
+    search stays depth first. ``reduced=False`` says the task edgelist was
+    not reduced (opt J), so level 1's bounds mask the tasks.
+
+    Returns ``(count, touches)``; touches counts candidate checks.
+    """
+    n = len(indptr) - 1
+    cols = [tasks[:, 0], tasks[:, 1]]
+    if not reduced:
+        keep = np.ones(len(tasks), dtype=bool)
+        for j in plan.upper[1]:
+            keep &= cols[1] < cols[j]
+        for j in plan.lower[1]:
+            keep &= cols[1] > cols[j]
+        cols = [c[keep] for c in cols]
+    if plan.k == 2:
+        return len(cols[0]), 0
+    reuse = plan.leaf_reuse()
+    last = plan.k - 2 if reuse else plan.k - 1
+    touches = 0
+
+    def level(cols: list[np.ndarray], i: int) -> int:
+        nonlocal touches
+        u = cols[plan.conn[i][0]]
+        # Set bounding (SS6.1): on a sorted list a bound is a range, found
+        # by one searchsorted per row, so bounded-out candidates are never
+        # expanded.
+        start, end = indptr[u], indptr[u + 1]
+        for j in plan.lower[i]:
+            start = np.maximum(start, np.searchsorted(keys, u * n + cols[j], "right"))
+        for j in plan.upper[i]:
+            end = np.minimum(end, np.searchsorted(keys, u * n + cols[j]))
+        lens = np.maximum(end - start, 0)
+        checks = [(j, True) for j in plan.conn[i][1:]]
+        if plan.induced:
+            checks += [(j, False) for j in plan.anti[i]]
         total = 0
-        for pdf in batches:
-            for v0, v1 in zip(pdf["v0"].values, pdf["v1"].values):
-                total += kernel(int(v0), int(v1), indptr, indices, ops, ctr)
-        yield pd.DataFrame({"cnt": [total], "ops": [ctr.ops]})
+        for lo, hi in chunks(lens, step):
+            pre = [c[lo:hi] for c in cols]
+            row, cand = expand(keys, u[lo:hi], start[lo:hi], lens[lo:hi], n)
+            touches += len(cand)
+            for j in plan.excl[i]:
+                keep = cand != pre[j][row]
+                row, cand = row[keep], cand[keep]
+            for j, adjacent in checks:
+                touches += len(cand)
+                keep = member(keys, pre[j][row], cand, n) == adjacent
+                row, cand = row[keep], cand[keep]
+            if i < last:
+                total += level([c[row] for c in pre] + [cand], i + 1)
+            elif reuse:
+                # The leaf's set is each row's surviving candidates.
+                t = np.bincount(row, minlength=hi - lo)
+                total += int((t * (t - 1)).sum()) // 2
+            else:
+                total += len(cand)
+        return total
 
-    return worker
+    return level(cols, 2), touches
 
 
-def _make_vertex_worker(bc, kernel_src: str, backend: str):
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        ns: dict = {}
-        exec(compile(kernel_src, "<kernel>", "exec"), ns)
-        kernel = ns["kernel"]
-        ops = BACKENDS[backend]
-        ctr = Counter()
-        total = 0
-        for pdf in batches:
-            for v0 in pdf["v0"].values:
-                total += kernel(int(v0), indptr, indices, ops, ctr)
-        yield pd.DataFrame({"cnt": [total], "ops": [ctr.ops]})
+# -- per-device workers: (graph, task slice) -> (cnt, ops) ----------------
 
-    return worker
+def _batch_worker(plan: SearchPlan, step: int, reduced: bool, graph, tasks):
+    indptr, keys = graph
+    return batch_count(plan, indptr, keys, tasks, step, reduced=reduced)
 
 
-def _make_lgs_worker(bc, k: int):
+def _vertex_worker(kernel_src: str, backend: str, graph, tasks):
+    indptr, indices = graph
+    ns: dict = {}
+    exec(compile(kernel_src, "<kernel>", "exec"), ns)
+    kernel = ns["kernel"]
+    ops = BACKENDS[backend]
+    ctr = Counter()
+    total = 0
+    for v0 in tasks.tolist():
+        total += kernel(v0, indptr, indices, ops, ctr)
+    return total, ctr.ops
+
+
+def _lgs_worker(k: int, graph, tasks):
     """Local-graph-search clique worker (opts E+F): per root vertex, build
     the induced local DAG among its out-neighbors as a dense bitmap and
     count (k-1)-cliques inside it."""
-
-    def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        indptr, indices = bc.value
-        total = 0
-        touched = 0
-        for pdf in batches:
-            for v0 in pdf["v0"].values:
-                v0 = int(v0)
-                L = indices[indptr[v0] : indptr[v0 + 1]]
-                d = len(L)
-                if d < k - 1:
-                    continue
-                A = np.zeros((d, d), dtype=bool)
-                for i in range(d):
-                    nb = indices[indptr[L[i]] : indptr[L[i] + 1]]
-                    hit = np.searchsorted(L, nb)
-                    hit[hit == d] = d - 1
-                    ok = L[hit] == nb
-                    A[i, hit[ok]] = True
-                touched += d * d
-                total += _local_clique_count(A, k - 1)
-        yield pd.DataFrame({"cnt": [total], "ops": [touched]})
-
-    return worker
+    indptr, indices = graph
+    total = 0
+    touched = 0
+    for v0 in tasks.tolist():
+        L = indices[indptr[v0] : indptr[v0 + 1]]
+        d = len(L)
+        if d < k - 1:
+            continue
+        A = np.zeros((d, d), dtype=bool)
+        for i in range(d):
+            nb = indices[indptr[L[i]] : indptr[L[i] + 1]]
+            hit = np.searchsorted(L, nb)
+            hit[hit == d] = d - 1
+            ok = L[hit] == nb
+            A[i, hit[ok]] = True
+        touched += d * d
+        total += _local_clique_count(A, k - 1)
+    return total, touched
 
 
-def _count_df(spark: SparkSession, tasks: np.ndarray, worker, n_parts: int):
-    """Run ``worker`` over the task array and sum (cnt, ops).
+def run_slices(
+    spark: SparkSession,
+    graph,
+    tasks: np.ndarray,
+    worker: Callable,
+    columns: tuple[str, ...] = ("cnt", "ops"),
+) -> tuple[int, ...]:
+    """Run ``worker(graph, slice)`` on every device's task slice and sum
+    the returned tuples column-wise.
 
-    ``createDataFrame`` slices the (already schedule-permuted) task array
-    into ~defaultParallelism contiguous Arrow batches — that slicing IS
-    the task-to-device assignment, so no extra shuffle is issued.
+    One Spark task is one GPU. ``graph`` and the already scheduled
+    ``tasks`` are broadcast once; partition p of ``spark.range(P)``
+    (P = ``defaultParallelism``) runs contiguous slice p of ``ceil(m/P)``
+    tasks, the assignment Arrow slicing of a task frame would give. The P
+    result rows are collected and summed on the driver, so there is no
+    task DataFrame and no shuffle stage.
     """
-    cols = ["v0"] if tasks.ndim == 1 else ["v0", "v1"]
-    pdf = pd.DataFrame(tasks.reshape(len(tasks), -1), columns=cols)
-    out = spark.createDataFrame(pdf).mapInPandas(worker, schema="cnt long, ops long")
-    rows = out.groupBy().sum("cnt", "ops").collect()[0]
-    return int(rows[0] or 0), int(rows[1] or 0)
+    sc = spark.sparkContext
+    P = sc.defaultParallelism
+    size = -(-len(tasks) // P)
+    bc = sc.broadcast((graph, tasks))
+
+    def device(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        graph, tasks = bc.value
+        for pdf in batches:
+            for p in pdf["id"].tolist():
+                out = worker(graph, tasks[p * size : (p + 1) * size])
+                yield pd.DataFrame([out], columns=list(columns))
+
+    try:
+        schema = ", ".join(f"{c} long" for c in columns)
+        rows = spark.range(P, numPartitions=P).mapInPandas(device, schema).collect()
+    finally:
+        bc.unpersist()
+    return tuple(sum(int(r[i]) for r in rows) for i in range(len(columns)))
 
 
 class DFSEngine:
@@ -210,7 +353,6 @@ class DFSEngine:
         use_orient = pattern.is_clique() and cfg.orientation
         g = csr.orient() if use_orient else csr
         meter.alloc("csr", g.nbytes())
-        bc = spark.sparkContext.broadcast((g.indptr, g.indices))
         try:
             if (
                 use_orient
@@ -220,8 +362,9 @@ class DFSEngine:
             ):
                 tasks = self._schedule(np.arange(g.n, dtype=np.int64))
                 meter.alloc("tasks", tasks.nbytes)
-                worker = _make_lgs_worker(bc, pattern.k)
-                cnt, ops = _count_df(spark, tasks, worker, cfg.num_partitions)
+                cnt, ops = run_slices(
+                    spark, (g.indptr, g.indices), tasks, partial(_lgs_worker, pattern.k)
+                )
                 self.last_ops = ops
                 return cnt
 
@@ -243,9 +386,15 @@ class DFSEngine:
                     use_edge = False
             if use_edge:
                 tasks, reduced = self._edge_tasks(g, plan)
-                kernel_src = codegen.kernel_source(
-                    plan, "edge", assume_reduced=reduced
-                )
+                meter.alloc("tasks", tasks.nbytes)
+                step = self._frontier_step(meter, plan.k)
+                tasks = self._schedule(tasks)
+                # The keys replace indices: the same bytes as the "csr" charge.
+                graph = (g.indptr, edge_keys(g))
+                worker = partial(_batch_worker, plan, step, reduced)
+            else:
+                tasks = np.arange(g.n, dtype=np.int64)
+                kernel_src = codegen.kernel_source(plan, "vertex")
                 # Adaptive buffering (opt K): X buffers of Delta words per
                 # concurrent warp (= partition here).
                 meter.alloc("tasks", tasks.nbytes)
@@ -254,22 +403,12 @@ class DFSEngine:
                     plan.num_buffers() * g.max_degree * 8 * cfg.num_partitions,
                 )
                 tasks = self._schedule(tasks)
-                worker = _make_edge_worker(bc, kernel_src, cfg.setops)
-            else:
-                tasks = np.arange(g.n, dtype=np.int64)
-                kernel_src = codegen.kernel_source(plan, "vertex")
-                meter.alloc("tasks", tasks.nbytes)
-                meter.alloc(
-                    "buffers",
-                    plan.num_buffers() * g.max_degree * 8 * cfg.num_partitions,
-                )
-                tasks = self._schedule(tasks)
-                worker = _make_vertex_worker(bc, kernel_src, cfg.setops)
-            cnt, ops = _count_df(spark, tasks, worker, cfg.num_partitions)
+                graph = (g.indptr, g.indices)
+                worker = partial(_vertex_worker, kernel_src, cfg.setops)
+            cnt, ops = run_slices(spark, graph, tasks, worker)
             self.last_ops = ops
             return cnt
         finally:
-            bc.unpersist()
             meter.free("csr")
             meter.free("tasks")
             meter.free("buffers")
@@ -293,6 +432,15 @@ class DFSEngine:
             if (1, 0) in plan.sym:
                 return g.edge_tasks("gt"), True
         return g.edge_tasks("all"), False
+
+    def _frontier_step(self, meter: memmod.MemoryMeter, k: int) -> int:
+        """Adaptive buffering (opt K) for the batched kernel: size the
+        expansion step from the ledger's free bytes, at most ``MAX_STEP``
+        candidates of k+1 words per concurrent device, and charge it."""
+        per = (k + 1) * 8 * self.cfg.num_partitions
+        step = max(1, min(MAX_STEP, (meter.budget - meter.resident) // per))
+        meter.alloc("buffers", step * per)
+        return step
 
     def _schedule(self, tasks: np.ndarray) -> np.ndarray:
         """Apply the chunked round-robin permutation (SS7.1 policy 3) so

@@ -80,6 +80,32 @@ class SearchPlan:
                 x += 1
         return min(x, max(self.k - 3, 0))
 
+    def leaf_reuse(self) -> bool:
+        """Buffer-reuse analysis for the leaf (level L = k-1, parent P = k-2).
+
+        True when the leaf draws from the same operand sets as its parent
+        (same ``conn``, same bounds and exclusions apart from one symmetry
+        bound against v_P). The leaf's candidates are then the parent's
+        candidate set itself, of size t, and the bound picks one side of
+        v_P in it: the leaf is counted as C(t, 2) per parent set without a
+        second expansion. For the diamond this is Algorithm 3's
+        sum_e C(t_e, 2).
+
+        Needs P >= 2, so that the parent is an expanded level whose
+        candidates are grouped by prefix. Never holds for a vertex-induced
+        plan: there the leaf must also be non-adjacent to v_P, which the
+        parent's set does not say.
+        """
+        L, P = self.k - 1, self.k - 2
+        if P < 2 or self.induced or self.conn[L] != self.conn[P]:
+            return False
+        if P not in self.upper[L] + self.lower[L]:
+            return False
+        return all(
+            tuple(j for j in s[L] if j != P) == s[P]
+            for s in (self.upper, self.lower, self.excl)
+        )
+
 
 def matching_order(p: Pattern) -> tuple[int, ...]:
     """Pick a matching order with the connectivity-greedy cost heuristic:

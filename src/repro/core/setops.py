@@ -8,7 +8,9 @@ implements them with warp-level SIMD instructions (``__ballot_sync`` /
 This module ports that split:
 
 - ``NumpySetOps``  — vectorised numpy kernels: the SIMD/warp analog used by
-                     the G2Miner and GraphZero engine configurations.
+                     the GraphZero configuration and by G2Miner's vertex
+                     mode (G2Miner's edge mode batches its set ops over a
+                     whole task slice, ``engine_dfs.batch_count``).
 - ``PythonSetOps`` — pure-Python two-pointer merges: the scalar-CPU analog
                      used by the Peregrine/DistGraph configurations. The
                      measured gap between the two backends is this

@@ -1,0 +1,186 @@
+"""Batched edge kernel tests (G2Miner edge mode).
+
+The batched kernel must count exactly what the per-task generated kernel
+counts (the reference it replaced) and what DuckDB counts on the generated
+pattern SQL, whatever the frontier step: under a budget so small that
+every batch splits many times as well as under an unbounded one.
+"""
+import numpy as np
+import pytest
+
+from repro import memory as memmod
+from repro.core import codegen, counting
+from repro.core.engine_dfs import (
+    MAX_STEP, DFSConfig, DFSEngine, batch_count, edge_keys, oriented_clique_plan,
+    run_slices,
+)
+from repro.core.pattern import clique, cycle, diamond, motifs, path, star
+from repro.core.plan import build_plan
+from repro.core.setops import BACKENDS, Counter
+from repro.graph.csr import build_csr
+from repro.graph.gen import adj_pdf, generate_graph
+from repro.oracle import assert_equivalent
+
+BIG = 1 << 40
+#: A frontier step far below the tiny graphs' expansions.
+TINY_STEP = 5
+
+EI = [(clique(3), False), (clique(4), False), (clique(5), False),
+      (diamond(), False), (cycle(4), False), (path(4), False)]
+VI = [(p, True) for p in motifs(3) + motifs(4)]
+IDS = [f"{p.name}-{'vi' if i else 'ei'}" for p, i in EI + VI]
+
+
+@pytest.fixture(scope="module")
+def g():
+    e, _ = generate_graph("tiny_skew")
+    return build_csr(e)
+
+
+def tiny(name):
+    e, _ = generate_graph(name)
+    return build_csr(e)
+
+
+def edge_run(g, p, induced):
+    """The graph, plan and task edgelist an edge-mode run searches."""
+    eng = DFSEngine(DFSConfig(lgs=False))
+    if p.is_clique():
+        g, plan = g.orient(), oriented_clique_plan(p.k)
+    else:
+        plan = build_plan(p, induced=induced)
+    tasks, reduced = eng._edge_tasks(g, plan)
+    return g, plan, tasks, reduced
+
+
+def per_task_count(g, plan, tasks, reduced):
+    kernel = codegen.compile_kernel(plan, "edge", assume_reduced=reduced)
+    ops, ctr = BACKENDS["numpy"], Counter()
+    return sum(kernel(a, b, g.indptr, g.indices, ops, ctr) for a, b in tasks.tolist())
+
+
+@pytest.mark.parametrize("name", ["tiny", "tiny_dense", "tiny_skew"])
+@pytest.mark.parametrize("p,induced", EI + VI, ids=IDS)
+def test_batch_count_equals_per_task_kernel(name, p, induced):
+    g, plan, tasks, reduced = edge_run(tiny(name), p, induced)
+    want = per_task_count(g, plan, tasks, reduced)
+    keys = edge_keys(g)
+    for step in (1, TINY_STEP, MAX_STEP):
+        got, touches = batch_count(plan, g.indptr, keys, tasks, step, reduced=reduced)
+        assert got == want, step
+        assert touches > 0
+
+
+@pytest.mark.parametrize("budget", ["tight", "big"])
+@pytest.mark.parametrize("p,induced", EI + VI, ids=IDS)
+def test_batched_engine_matches_oracle(spark, g, p, induced, budget):
+    """lgs=False sends the k >= 4 cliques through the batched kernel too."""
+    cfg = DFSConfig(lgs=False, memory_budget=BIG)
+    if budget == "tight":
+        gg, plan, tasks, _ = edge_run(g, p, induced)
+        per = (plan.k + 1) * 8 * cfg.num_partitions
+        cfg.memory_budget = gg.nbytes() + tasks.nbytes + TINY_STEP * per
+    meter = memmod.MemoryMeter(cfg.memory_budget)
+    df = DFSEngine(cfg).count_df(spark, g, p, induced=induced, meter=meter)
+    sql = codegen.pattern_sql(build_plan(p, induced=induced))
+    assert_equivalent(df, sql, adj=adj_pdf("tiny_skew"))
+    assert meter.resident == 0
+    assert meter.peak <= meter.budget
+    if budget == "tight":
+        assert meter.peak == meter.budget  # the step is TINY_STEP exactly
+
+
+@pytest.mark.parametrize("p,induced", [(path(3), True), (path(4), False), (path(4), True)],
+                         ids=["3-path-vi", "4-path-ei", "4-path-vi"])
+def test_unreduced_edgelist_guard(spark, g, p, induced):
+    """An unreduced edgelist gets level 1's bounds as a mask on the tasks."""
+    plan = build_plan(p, induced=induced)
+    keys = edge_keys(g)
+    full = batch_count(plan, g.indptr, keys, g.edge_tasks("all"), MAX_STEP, reduced=False)
+    if plan.first_edge_reduced():
+        red = batch_count(plan, g.indptr, keys, g.edge_tasks("lt"), MAX_STEP)
+        assert full[0] == red[0]
+    eng = DFSEngine(DFSConfig(orientation=False, lgs=False, edgelist_reduction=False,
+                              memory_budget=BIG))
+    df = eng.count_df(spark, g, p, induced=induced)
+    assert_equivalent(df, codegen.pattern_sql(plan), adj=adj_pdf("tiny_skew"))
+    assert eng.count(spark, g, p, induced=induced) == full[0]
+
+
+@pytest.mark.parametrize("p", [diamond(), star(3)], ids=lambda p: p.name)
+def test_leaf_reuse_counts_like_expansion(p):
+    """A reused leaf counts what expanding the leaf level counts."""
+    plan = build_plan(p, induced=False)
+    assert plan.leaf_reuse()
+    g, plan, tasks, reduced = edge_run(tiny("tiny_dense"), p, False)
+    got, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, TINY_STEP, reduced=reduced)
+    assert got == per_task_count(g, plan, tasks, reduced)
+
+
+def test_edge_keys_are_sorted_rows(g):
+    keys = edge_keys(g)
+    assert keys.nbytes == g.indices.nbytes
+    assert (np.diff(keys) > 0).all()
+    for u in (0, 7, g.n - 1):
+        row = keys[g.indptr[u] : g.indptr[u + 1]] - u * g.n
+        assert np.array_equal(row, g.neighbors(u))
+
+
+# -- run_slices: the broadcast task-slice transport ----------------------
+# Workers are lambdas or nested functions, which Spark pickles by value.
+
+@pytest.mark.parametrize("m", [0, 2, 1001])
+def test_run_slices_covers_every_task_once(spark, m):
+    P = spark.sparkContext.defaultParallelism
+    tasks = np.arange(m, dtype=np.int64)
+    n, s = run_slices(spark, 10, tasks, lambda graph, t: (len(t), int(t.sum()) + graph),
+                      ("n", "s"))
+    assert n == m
+    assert s == m * (m - 1) // 2 + 10 * P  # every device ran, once
+
+
+def test_run_slices_edge_tasks(spark, g):
+    tasks = g.edge_tasks("lt")
+    got = run_slices(spark, 0, tasks, lambda graph, t: (len(t), int(t[:, 1].sum())))
+    assert got == (len(tasks), int(tasks[:, 1].sum()))
+
+
+def test_run_slices_gives_contiguous_slices(spark):
+    P = spark.sparkContext.defaultParallelism
+    tasks = np.arange(3 * P + 1, dtype=np.int64)
+    size = -(-len(tasks) // P)
+
+    def worker(graph, t):
+        ok = len(t) == 0 or (np.array_equal(t, np.arange(t[0], t[0] + len(t)))
+                             and t[0] % size == 0)
+        return (int(ok),)
+
+    assert run_slices(spark, None, tasks, worker, ("ok",)) == (P,)
+
+
+# -- counting sweep, config, ledger --------------------------------------
+
+@pytest.mark.parametrize("name", ["tiny", "tiny_skew"])
+def test_edge_triangle_stats_backends_agree(spark, name):
+    gg = tiny(name)
+    a = counting.edge_triangle_stats(spark, gg, backend="numpy")
+    b = counting.edge_triangle_stats(spark, gg, backend="python")
+    assert a == b
+
+
+def test_edge_mode_rejects_python_setops():
+    with pytest.raises(ValueError):
+        DFSConfig(parallelism="edge", setops="python")
+    DFSConfig(parallelism="vertex", setops="python")
+
+
+def test_frontier_step_sized_from_free_bytes():
+    eng = DFSEngine(DFSConfig())
+    per = 5 * 8 * eng.cfg.num_partitions
+    meter = memmod.MemoryMeter(1000 + 37 * per + 3)
+    meter.alloc("csr", 1000)
+    assert eng._frontier_step(meter, 4) == 37
+    assert meter.resident <= meter.budget
+    roomy = memmod.MemoryMeter(BIG)
+    assert eng._frontier_step(roomy, 4) == MAX_STEP
+    assert roomy.resident == MAX_STEP * per

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.pattern import (
-    Pattern, clique, cycle, diamond, path, star, tailed_triangle,
+    Pattern, clique, cycle, diamond, motifs, path, star, tailed_triangle,
 )
 from repro.core.plan import build_plan, matching_order, symmetry_order
 
@@ -175,3 +175,15 @@ def test_symmetry_order_stabilizer_chain_on_star():
     # star(3) in position space: center first, then 3 symmetric leaves.
     plan = build_plan(star(3), induced=False)
     assert len(plan.sym) == 3  # leaves totally ordered
+
+
+def test_leaf_reuse_predicate():
+    # Diamond and 3-star: the leaf is the parent's set, bounded by v_{k-2}.
+    assert build_plan(diamond(), induced=False).leaf_reuse()
+    assert build_plan(star(3), induced=False).leaf_reuse()
+    # 4-cycle's leaf intersects other neighbourhoods than its parent.
+    assert not build_plan(cycle(4), induced=False).leaf_reuse()
+    # k = 3 has no expanded parent; induced leaves need a non-edge to v_{k-2}.
+    for p in motifs(3) + motifs(4):
+        assert not build_plan(p, induced=True).leaf_reuse(), p.name
+    assert not build_plan(path(3), induced=False).leaf_reuse()
