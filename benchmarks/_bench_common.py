@@ -1,8 +1,7 @@
 """Shared cell-benchmark body for the per-table benchmark modules."""
 from __future__ import annotations
 
-from repro import paper_numbers as paper
-from repro.harness import paper_key, run_cell
+from repro.harness import cell_row, paper_key, run_cell
 
 
 def bench_cell(
@@ -17,19 +16,8 @@ def bench_cell(
         rounds=1,
         iterations=1,
     )
-    row = {
-        "system": system,
-        "workload": "/".join(str(w) for w in workload),
-        "graph": graph,
-        "status": result.status,
-        "seconds": round(result.seconds, 3),
-        "value": result.value if not isinstance(result.value, dict) else sum(result.value.values()),
-    }
-    key = paper_key(
-        {"workload": row["workload"], "graph": graph}
-    )
-    pv = paper_tbl.get(system, {}).get(key, "-")
-    row["paper"] = pv
+    row = cell_row(system, workload, graph, result)
+    row["paper"] = paper_tbl.get(system, {}).get(paper_key(workload, graph), "-")
     record(table, row)
     assert result.status in ("ok", "OoM", "TO"), result.detail
     if result.status == "ok":

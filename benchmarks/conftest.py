@@ -46,7 +46,9 @@ def record():
 @pytest.fixture(scope="session")
 def cell_timeout() -> float:
     """Per-cell timeout — the paper's 8h/30h budgets at bench scale."""
-    return float(os.environ.get("REPRO_CELL_TIMEOUT", "45"))
+    from repro.harness import DEFAULT_TIMEOUT_S
+
+    return float(os.environ.get("REPRO_CELL_TIMEOUT", DEFAULT_TIMEOUT_S))
 
 
 @pytest.fixture(scope="session", autouse=True)

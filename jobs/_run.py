@@ -33,10 +33,10 @@ def make_spark():
 
 
 def run_table_job(table_no: int) -> None:
-    from repro.harness import TABLES, paper_key, print_side_by_side, run_table
+    from repro.harness import DEFAULT_TIMEOUT_S, TABLES, print_side_by_side, run_table
 
     ap = argparse.ArgumentParser()
-    ap.add_argument("--timeout", type=float, default=60.0)
+    ap.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
     ap.add_argument("--systems", type=str, default="")
     ap.add_argument("--graphs", type=str, default="")
     args = ap.parse_args()
@@ -54,7 +54,7 @@ def run_table_job(table_no: int) -> None:
     try:
         print(f"== Table {table_no}: {title} ==", flush=True)
         df = run_table(spark, cells, timeout_s=args.timeout)
-        print_side_by_side(df, paper_tbl, paper_key)
+        print_side_by_side(cells, df, paper_tbl)
     finally:
         spark.stop()
     sys.stdout.flush()

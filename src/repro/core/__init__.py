@@ -5,10 +5,10 @@
                    + per-level constraint sets (the "search plan").
 - ``codegen``    — pattern-aware code generation: executable DFS programs
                    and generated SQL (the CUDA-kernel analog).
-- ``setops``     — the device-primitive library: vectorised / scalar /
-                   bitmap set operations.
+- ``setops``     — the device-primitive library: vectorised / scalar set
+                   operations.
 - ``engine_dfs`` — the G2Miner execution engine: warp-centric (task-batched)
-                   DFS over Spark with edge/vertex parallelism, LGS, etc.
+                   DFS over Spark with edge/vertex parallelism, orientation.
 - ``engine_bfs`` — the Pangolin/PBE-style BFS engine as Catalyst join chains.
 - ``counting``   — counting-only pruning via pattern decomposition.
 - ``motifs``     — k-motif counting drivers (multi-pattern).

@@ -42,7 +42,6 @@ class BFSConfig:
     adj_partitions: int = 0  # P-way partitioned adjacency (PBE); 0 = off
     orientation: bool = True  # opt A for cliques (Pangolin yes, PBE no)
     memory_budget: int = memmod.GPU_MEM_BYTES
-    shuffle_partitions: int = 16
 
 
 class BFSEngine:

@@ -18,9 +18,12 @@ the Spark dataflow model):
 - Vertex mode (the CPU systems' documented strategy) runs the pattern's
   *generated kernel* (codegen.py) task by task with that system's set-op
   backend.
-- Cliques get the special paths of the paper: orientation (opt A),
-  DAG-edge tasks, and local-graph search with the dense bitmap format
-  (opts E+F) guarded by the input-aware Delta threshold.
+- Cliques of every size run on the oriented graph (opt A) with
+  ``oriented_clique_plan``, in edge mode on DAG-edge tasks: each level's
+  candidates come from the intersection of the earlier
+  out-neighbourhoods, a search inside the (v0, v1) local graph (the role
+  of the paper's LGS, opt E) with membership tested on the sorted edge
+  keys in place of a dense bitmap (opt F).
 
 The engine accounts all materialised state against a device-memory budget
 (``repro.memory``) and can report per-task measured work for the multi-GPU
@@ -55,11 +58,8 @@ class DFSConfig:
     parallelism: str = "edge"  # 'edge' (G2Miner) | 'vertex' (CPU systems)
     setops: str = "numpy"  # 'numpy' (SIMD/warp analog) | 'python' (scalar)
     orientation: bool = True  # opt A, cliques
-    lgs: bool = True  # opts E+F, cliques
-    edgelist_reduction: bool = True  # opt J
     num_partitions: int = 16
     memory_budget: int = memmod.GPU_MEM_BYTES
-    lgs_delta_threshold: int = 4096  # input-aware LGS guard (SS5.4(2))
     chunked_schedule: bool = True  # opt G analog for partition balance
 
     def __post_init__(self):
@@ -87,31 +87,6 @@ def oriented_clique_plan(k: int) -> SearchPlan:
         excl=empt,
         induced=False,
     )
-
-
-def _local_clique_count(A: np.ndarray, s: int) -> int:
-    """Count s-cliques in a local DAG adjacency matrix (bitmap format).
-
-    ``A[i, j]`` = oriented edge between local vertices i, j, so each clique
-    is generated exactly once in DAG order; the leaf is a popcount — the
-    ``__popc`` analog of SS6.1.
-    """
-    if s <= 0:
-        return 1 if s == 0 else 0
-    if s == 1:
-        return A.shape[0]
-
-    def rec(mask: np.ndarray, depth: int) -> int:
-        if depth == 1:
-            return int(mask.sum())
-        t = 0
-        for i in np.nonzero(mask)[0]:
-            m2 = mask & A[i]
-            if m2.any():
-                t += rec(m2, depth - 1)
-        return t
-
-    return rec(np.ones(A.shape[0], dtype=bool), s)
 
 
 # -- batched edge kernel (G2Miner edge mode) -----------------------------
@@ -261,30 +236,6 @@ def _vertex_worker(kernel_src: str, backend: str, graph, tasks):
     return total, ctr.ops
 
 
-def _lgs_worker(k: int, graph, tasks):
-    """Local-graph-search clique worker (opts E+F): per root vertex, build
-    the induced local DAG among its out-neighbors as a dense bitmap and
-    count (k-1)-cliques inside it."""
-    indptr, indices = graph
-    total = 0
-    touched = 0
-    for v0 in tasks.tolist():
-        L = indices[indptr[v0] : indptr[v0 + 1]]
-        d = len(L)
-        if d < k - 1:
-            continue
-        A = np.zeros((d, d), dtype=bool)
-        for i in range(d):
-            nb = indices[indptr[L[i]] : indptr[L[i] + 1]]
-            hit = np.searchsorted(L, nb)
-            hit[hit == d] = d - 1
-            ok = L[hit] == nb
-            A[i, hit[ok]] = True
-        touched += d * d
-        total += _local_clique_count(A, k - 1)
-    return total, touched
-
-
 def run_slices(
     spark: SparkSession,
     graph,
@@ -354,20 +305,6 @@ class DFSEngine:
         g = csr.orient() if use_orient else csr
         meter.alloc("csr", g.nbytes())
         try:
-            if (
-                use_orient
-                and cfg.lgs
-                and pattern.k >= 4
-                and g.max_degree <= cfg.lgs_delta_threshold
-            ):
-                tasks = self._schedule(np.arange(g.n, dtype=np.int64))
-                meter.alloc("tasks", tasks.nbytes)
-                cnt, ops = run_slices(
-                    spark, (g.indptr, g.indices), tasks, partial(_lgs_worker, pattern.k)
-                )
-                self.last_ops = ops
-                return cnt
-
             plan = (
                 oriented_clique_plan(pattern.k)
                 if use_orient
@@ -421,16 +358,16 @@ class DFSEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _edge_tasks(self, g: CSRGraph, plan: SearchPlan) -> tuple[np.ndarray, bool]:
+    @staticmethod
+    def _edge_tasks(g: CSRGraph, plan: SearchPlan) -> tuple[np.ndarray, bool]:
         """Task edgelist Omega with edgelist reduction (opt J) when the
         symmetry order covers (v0, v1). Returns (tasks, reduced?)."""
         if g.directed:
             return g.edge_tasks("all"), True
-        if self.cfg.edgelist_reduction:
-            if (0, 1) in plan.sym:
-                return g.edge_tasks("lt"), True
-            if (1, 0) in plan.sym:
-                return g.edge_tasks("gt"), True
+        if (0, 1) in plan.sym:
+            return g.edge_tasks("lt"), True
+        if (1, 0) in plan.sym:
+            return g.edge_tasks("gt"), True
         return g.edge_tasks("all"), False
 
     def _frontier_step(self, meter: memmod.MemoryMeter, k: int) -> int:

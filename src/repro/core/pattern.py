@@ -5,7 +5,7 @@ This module provides the named patterns used throughout the paper's
 evaluation (triangle, k-cliques, diamond, 4-cycle, all 3- and 4-motifs),
 explicit patterns from edge lists (Listing 2), and the structural analyses
 the pattern analyzer needs: isomorphism tests, the automorphism group,
-clique and hub-pattern detection.
+clique detection.
 
 Sizes are tiny (k <= 8) so brute-force permutation algorithms are exact and
 fast; this mirrors the paper, whose analyzer also enumerates matching orders
@@ -75,16 +75,9 @@ class Pattern:
     # -- analyzer properties (SS4.2 "other important properties") --------
 
     def is_clique(self) -> bool:
-        """Clique detection — enables orientation (opt A) and LGS+bitmap."""
+        """Clique detection — enables orientation (opt A) and the oriented
+        clique plan, whose levels search the (v0, v1) local graph."""
         return self.num_edges == self.k * (self.k - 1) // 2
-
-    def hub_vertices(self) -> list[int]:
-        """Vertices connected to all other pattern vertices (SS5.4(2))."""
-        return [u for u in range(self.k) if self.degree(u) == self.k - 1]
-
-    def is_hub_pattern(self) -> bool:
-        """A hub-pattern has >= 1 hub vertex; LGS applies (opt E)."""
-        return bool(self.hub_vertices())
 
     # -- isomorphism machinery ------------------------------------------
 

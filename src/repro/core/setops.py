@@ -17,8 +17,6 @@ This module ports that split:
                      reproduction's stand-in for the paper's GPU-vs-CPU
                      throughput gap, so the relative ordering of systems in
                      the evaluation tables emerges from real execution.
-- bitmap helpers   — the dense format of SS6.2 (opt F), used with local
-                     graph search for hub patterns.
 
 All sorted-list inputs/outputs are ascending int64 numpy arrays with unique
 elements (the CSR invariant). Every op also reports the number of element
@@ -174,19 +172,3 @@ class PythonSetOps:
 
 
 BACKENDS = {"numpy": NumpySetOps, "python": PythonSetOps}
-
-
-# -- bitmap format (SS6.2, opt F) ----------------------------------------
-
-def bitmap_from_sorted(a: np.ndarray, width: int) -> np.ndarray:
-    """Dense boolean membership vector of length ``width`` for a sorted
-    list of local ids (< width). Used by local-graph search where width is
-    Delta-bounded instead of |V|-bounded (the paper's storage argument)."""
-    bm = np.zeros(width, dtype=bool)
-    bm[a] = True
-    return bm
-
-
-def bitmap_intersect_count(bm_row: np.ndarray, members: np.ndarray) -> int:
-    """|members ∩ row| with the dense format: a masked popcount."""
-    return int(bm_row[members].sum())

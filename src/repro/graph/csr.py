@@ -15,9 +15,6 @@ Preprocessing ports:
 - ``reduced_edge_tasks`` — *edgelist reduction* (opt J): when the symmetry
                     order includes v0 > v1, keep one instance per
                     undirected edge.
-- ``local_graph`` — *local graph search* substrate (opt E): the induced
-                    adjacency among a root's neighbors, renamed to
-                    0..d-1, as a dense bitmap (opt F).
 """
 from __future__ import annotations
 
@@ -146,23 +143,6 @@ class CSRGraph:
             keep = src < dst if mode == "lt" else src > dst
             return np.stack([src[keep], dst[keep]], axis=1)
         return np.stack([src, dst], axis=1)
-
-    def local_graph(self, root_nbrs: np.ndarray) -> np.ndarray:
-        """Local graph construction (opt E+F): dense boolean adjacency among
-        ``root_nbrs`` (renamed to 0..d-1), the Fig. 7 structure.
-
-        Returned matrix ``A[i, j]`` says whether root_nbrs[i] and
-        root_nbrs[j] are adjacent in G. Vertex degrees inside the local
-        graph are <= those in G, which is why LGS search is faster.
-        """
-        d = len(root_nbrs)
-        A = np.zeros((d, d), dtype=bool)
-        for i, u in enumerate(root_nbrs):
-            nb = self.neighbors(int(u))
-            hit = np.searchsorted(root_nbrs, nb)
-            ok = (hit < d) & (root_nbrs[np.minimum(hit, d - 1)] == nb)
-            A[i, hit[ok]] = True
-        return A
 
 
 def build_csr(

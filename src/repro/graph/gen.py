@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass(frozen=True)
@@ -199,13 +198,3 @@ def labels_pdf(name: str) -> pd.DataFrame:
     spec = _spec(name)
     _, lab = generate_graph(name)
     return pd.DataFrame({"v": np.arange(spec.n, dtype=np.int64), "label": lab})
-
-
-def edges_df(spark: SparkSession, name: str) -> DataFrame:
-    """Edge list as a Spark DataFrame (``src < dst``)."""
-    return spark.createDataFrame(edges_pdf(name))
-
-
-def adj_df(spark: SparkSession, name: str) -> DataFrame:
-    """Symmetric adjacency as a Spark DataFrame."""
-    return spark.createDataFrame(adj_pdf(name))

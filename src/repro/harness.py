@@ -25,8 +25,8 @@ from repro.systems import SYSTEMS
 from repro.timeout import CellResult, TimeoutError_, run_with_timeout
 
 #: Default per-cell timeout: the paper's 8 h GPU / 30 h CPU budgets at
-#: ~1/1000 time scale.
-DEFAULT_TIMEOUT_S = 30.0
+#: ~1/1000 time scale. ``REPRO_CELL_TIMEOUT`` overrides it for the benchmarks.
+DEFAULT_TIMEOUT_S = 45.0
 
 
 @lru_cache(maxsize=None)
@@ -114,33 +114,33 @@ def fmt_paper(v) -> str:
     return v if isinstance(v, str) else f"{v:g}"
 
 
+def cell_row(system: str, workload: tuple, graph: str, r: CellResult) -> dict:
+    """One result row (the CSV columns); a motif table's value is summed."""
+    value = sum(r.value.values()) if isinstance(r.value, dict) else r.value
+    return {
+        "system": system,
+        "workload": "/".join(str(w) for w in workload),
+        "graph": graph,
+        "status": r.status,
+        "seconds": round(r.seconds, 3),
+        "value": value,
+    }
+
+
 def run_table(
     spark: SparkSession,
     cells: list[tuple[str, tuple, str]],
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> pd.DataFrame:
-    """Run a list of (system, workload, graph) cells into a tidy frame."""
-    rows = []
-    for system, workload, graph in cells:
-        r = run_cell(spark, system, workload, graph, timeout_s=timeout_s)
-        rows.append(
-            {
-                "system": system,
-                "workload": "/".join(str(w) for w in workload),
-                "graph": graph,
-                "status": r.status,
-                "seconds": round(r.seconds, 3),
-                "value": _scalarize(r.value),
-            }
-        )
-    return pd.DataFrame(rows)
-
-
-def _scalarize(v):
-    if isinstance(v, dict):
-        return sum(v.values())
-    return v
+    """Run a list of (system, workload, graph) cells into a tidy frame,
+    one row per cell in order."""
+    return pd.DataFrame(
+        [
+            cell_row(s, w, g, run_cell(spark, s, w, g, timeout_s=timeout_s))
+            for s, w, g in cells
+        ]
+    )
 
 
 # -- per-table cell lists (one entry per cell of the paper's tables) -----
@@ -198,23 +198,16 @@ def table9_cells() -> list[tuple[str, tuple, str]]:
     return [(s, ("counting", w), g) for s in systems for (w, g) in COUNTING_CELLS]
 
 
-def paper_key(row) -> tuple | str:
-    """Map a result row back to the paper table's cell key."""
-    parts = row["workload"].split("/")
-    kind = parts[0]
+def paper_key(workload: tuple, graph: str) -> tuple | str:
+    """Map a cell back to the paper table's cell key."""
+    kind = workload[0]
     if kind == "tc":
-        return row["graph"]
-    if kind == "kcl":
-        return (int(parts[1]), row["graph"])
-    if kind == "sl":
-        return (parts[1], row["graph"])
-    if kind == "mc":
-        return (int(parts[1]), row["graph"])
+        return graph
+    if kind in ("kcl", "sl", "mc", "counting"):
+        return (workload[1], graph)
     if kind == "fsm":
         inv = {v: k for k, v in paper.SIGMA_SCALE.items()}
-        return (row["graph"], inv[int(parts[1])])
-    if kind == "counting":
-        return (parts[1], row["graph"])
+        return (graph, inv[workload[1]])
     raise ValueError(kind)
 
 
@@ -228,14 +221,16 @@ TABLES = {
 }
 
 
-def print_side_by_side(df: pd.DataFrame, paper_tbl: dict, key_fn) -> str:
-    """Render measured-vs-paper lines: one per cell."""
+def print_side_by_side(
+    cells: list[tuple[str, tuple, str]], df: pd.DataFrame, paper_tbl: dict
+) -> str:
+    """Render measured-vs-paper lines: one per cell of ``run_table(cells)``."""
     lines = []
-    for _, row in df.iterrows():
-        pv = paper_tbl.get(row["system"], {}).get(key_fn(row), "-")
-        ours = row["status"] if row["status"] != "ok" else f"{row['seconds']:.2f}s"
+    for (system, workload, graph), row in zip(cells, df.itertuples()):
+        pv = paper_tbl.get(system, {}).get(paper_key(workload, graph), "-")
+        ours = fmt_cell(CellResult(status=row.status, seconds=row.seconds))
         lines.append(
-            f"{row['system']:>10s} {row['workload']:>10s} {row['graph']:>4s} "
+            f"{system:>10s} {row.workload:>10s} {graph:>4s} "
             f"ours={ours:>8s} paper={fmt_paper(pv):>8s}"
         )
     out = "\n".join(lines)

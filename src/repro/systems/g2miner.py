@@ -1,8 +1,9 @@
 """G2Miner: the paper's system (Table 1 bottom row).
 
 DFS order, pattern/input/architecture aware: edge parallelism, vectorised
-(SIMD-analog) set ops, orientation + LGS + bitmap for cliques, edgelist
-reduction, chunked round-robin partition scheduling, GPU memory budget.
+(SIMD-analog) set ops, orientation for cliques (every k runs the batched
+oriented kernel), edgelist reduction, chunked round-robin partition
+scheduling, GPU memory budget.
 Supports every workload, including FSM (bounded BFS, opt M+N) and
 counting-only pruning (opt D).
 """
@@ -17,8 +18,6 @@ def make_engine() -> DFSEngine:
             parallelism="edge",
             setops="numpy",
             orientation=True,
-            lgs=True,
-            edgelist_reduction=True,
             memory_budget=memmod.GPU_MEM_BYTES,
         )
     )

@@ -2,8 +2,8 @@
 
 Uses exactly the same matching order and symmetry order as G2Miner (the
 paper makes this point for fairness, SS8.2) but runs them the CPU way:
-vertex-parallel DFS, per-call (non-bitmap, non-LGS) set operations,
-id-based symmetry bounds rather than the degree-ordered DAG. No FSM
+vertex-parallel DFS, per-call set operations task by task, id-based
+symmetry bounds rather than the degree-ordered DAG. No FSM
 support (SS8).
 """
 from repro import memory as memmod
@@ -17,8 +17,6 @@ def make_engine() -> DFSEngine:
             parallelism="vertex",
             setops="numpy",
             orientation=False,
-            lgs=False,
-            edgelist_reduction=False,
             memory_budget=memmod.CPU_MEM_BYTES,
             # CPU systems process vertex tasks in natural order with static
             # partitioning — the coarse-grain load imbalance of SS5.1(2);

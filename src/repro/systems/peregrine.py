@@ -20,8 +20,6 @@ def make_engine() -> DFSEngine:
             parallelism="vertex",
             setops="python",
             orientation=False,
-            lgs=False,
-            edgelist_reduction=False,
             memory_budget=memmod.CPU_MEM_BYTES,
             # CPU systems process vertex tasks in natural order with static
             # partitioning — the coarse-grain load imbalance of SS5.1(2);

@@ -44,7 +44,7 @@ def tiny(name):
 
 def edge_run(g, p, induced):
     """The graph, plan and task edgelist an edge-mode run searches."""
-    eng = DFSEngine(DFSConfig(lgs=False))
+    eng = DFSEngine(DFSConfig())
     if p.is_clique():
         g, plan = g.orient(), oriented_clique_plan(p.k)
     else:
@@ -74,8 +74,8 @@ def test_batch_count_equals_per_task_kernel(name, p, induced):
 @pytest.mark.parametrize("budget", ["tight", "big"])
 @pytest.mark.parametrize("p,induced", EI + VI, ids=IDS)
 def test_batched_engine_matches_oracle(spark, g, p, induced, budget):
-    """lgs=False sends the k >= 4 cliques through the batched kernel too."""
-    cfg = DFSConfig(lgs=False, memory_budget=BIG)
+    """Every clique size runs the batched oriented kernel."""
+    cfg = DFSConfig(memory_budget=BIG)
     if budget == "tight":
         gg, plan, tasks, _ = edge_run(g, p, induced)
         per = (plan.k + 1) * 8 * cfg.num_partitions
@@ -100,8 +100,7 @@ def test_unreduced_edgelist_guard(spark, g, p, induced):
     if plan.first_edge_reduced():
         red = batch_count(plan, g.indptr, keys, g.edge_tasks("lt"), MAX_STEP)
         assert full[0] == red[0]
-    eng = DFSEngine(DFSConfig(orientation=False, lgs=False, edgelist_reduction=False,
-                              memory_budget=BIG))
+    eng = DFSEngine(DFSConfig(orientation=False, memory_budget=BIG))
     df = eng.count_df(spark, g, p, induced=induced)
     assert_equivalent(df, codegen.pattern_sql(plan), adj=adj_pdf("tiny_skew"))
     assert eng.count(spark, g, p, induced=induced) == full[0]

@@ -130,24 +130,6 @@ def test_oriented_tasks_already_reduced(g):
     assert len(go.edge_tasks("lt")) == go.num_edges_stored
 
 
-# -- local graphs (opts E+F) ---------------------------------------------
-
-def test_local_graph_matches_has_edge(g):
-    v = int(np.argmax(g.degrees))
-    nbrs = g.neighbors(v)[:30]
-    A = g.local_graph(nbrs)
-    for i in range(len(nbrs)):
-        for j in range(len(nbrs)):
-            assert A[i, j] == g.has_edge(int(nbrs[i]), int(nbrs[j]))
-
-
-def test_local_graph_empty():
-    e, _ = generate_graph("tiny")
-    g2 = build_csr(e)
-    A = g2.local_graph(np.array([], dtype=np.int64))
-    assert A.shape == (0, 0)
-
-
 # -- label info ----------------------------------------------------------
 
 def test_label_frequency():

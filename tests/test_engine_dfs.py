@@ -1,12 +1,11 @@
 """DFS engine tests on Spark: every configuration path must produce counts
 equal to the independently generated SQL executed by DuckDB (via
 ``repro.oracle.assert_equivalent``)."""
-import numpy as np
 import pytest
 
 from repro import memory as memmod
 from repro.core import codegen
-from repro.core.engine_dfs import DFSConfig, DFSEngine, _local_clique_count, oriented_clique_plan
+from repro.core.engine_dfs import DFSConfig, DFSEngine, oriented_clique_plan
 from repro.core.pattern import clique, cycle, diamond, motifs, path
 from repro.core.plan import build_plan
 from repro.graph.csr import build_csr
@@ -54,34 +53,14 @@ def test_vertex_parallel_matches_oracle(spark, g, adj, p):
 def test_python_backend_matches_oracle(spark, g, adj, p):
     eng = DFSEngine(
         DFSConfig(parallelism="vertex", setops="python", orientation=False,
-                  lgs=False, memory_budget=BIG)
+                  memory_budget=BIG)
     )
     check(spark, g, adj, eng, p)
 
 
-@pytest.mark.parametrize("k", [4, 5])
-def test_lgs_equals_plain(spark, g, k):
-    on = DFSEngine(DFSConfig(lgs=True, memory_budget=BIG))
-    off = DFSEngine(DFSConfig(lgs=False, memory_budget=BIG))
-    assert on.count(spark, g, clique(k)) == off.count(spark, g, clique(k))
-
-
-def test_lgs_delta_threshold_falls_back(spark, g, adj):
-    eng = DFSEngine(DFSConfig(lgs=True, lgs_delta_threshold=1, memory_budget=BIG))
-    check(spark, g, adj, eng, clique(4))
-
-
 def test_orientation_off_matches(spark, g, adj):
-    eng = DFSEngine(DFSConfig(orientation=False, lgs=False, memory_budget=BIG))
+    eng = DFSEngine(DFSConfig(orientation=False, memory_budget=BIG))
     check(spark, g, adj, eng, clique(4))
-
-
-def test_no_edgelist_reduction_matches(spark, g, adj):
-    eng = DFSEngine(
-        DFSConfig(orientation=False, lgs=False, edgelist_reduction=False,
-                  memory_budget=BIG)
-    )
-    check(spark, g, adj, eng, diamond())
 
 
 def test_no_chunked_schedule_matches(spark, g):
@@ -121,16 +100,6 @@ def test_oriented_clique_plan_structure():
     assert plan.sym == ()
     assert plan.conn == ((), (0,), (0, 1), (0, 1, 2))
     assert plan.num_buffers() <= 1
-
-
-def test_local_clique_count_known():
-    # K4 local matrix (oriented upper-triangular): one 3-clique among the
-    # 3 out-neighbors of the root.
-    A = np.triu(np.ones((3, 3), dtype=bool), 1)
-    assert _local_clique_count(A, 3) == 1
-    assert _local_clique_count(A, 2) == 3
-    assert _local_clique_count(A, 1) == 3
-    assert _local_clique_count(np.zeros((0, 0), bool), 1) == 0
 
 
 def test_count_df_schema(spark, g):

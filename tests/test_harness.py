@@ -1,10 +1,15 @@
 """Harness tests: run_cell dispatch, statuses, and table running on the
 tiny test graphs (the bench graphs are exercised by benchmarks/)."""
+import importlib.util
+import os
+
 import pytest
 
-from repro import paper_numbers as paper
+from repro import harness, paper_numbers as paper
 from repro.harness import fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern
 from repro.timeout import CellResult
+
+BENCH_COMMON = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "_bench_common.py")
 
 
 def test_get_csr_cached():
@@ -62,6 +67,28 @@ def test_run_table_frame(spark):
     assert list(df.columns) == ["system", "workload", "graph", "status", "seconds", "value"]
     assert (df["status"] == "ok").all()
     assert df["value"].nunique() == 1, "systems agree"
+
+
+def test_run_table_and_bench_cell_rows_agree(monkeypatch):
+    """The jobs' frame and the benchmark CSVs build a cell's row one way."""
+    result = CellResult(status="ok", value={"wedge": 5, "triangle": 2}, seconds=1.23456)
+    monkeypatch.setattr(harness, "run_cell", lambda *a, **kw: result)
+    spec = importlib.util.spec_from_file_location("_bench_common", BENCH_COMMON)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    class Benchmark:
+        def pedantic(self, fn, rounds, iterations):
+            return fn()
+
+    recorded = []
+    bench.bench_cell(None, Benchmark(), lambda table, row: recorded.append(row),
+                     "table7", paper.TABLE7, "G2Miner", ("mc", 3), "Lj", timeout_s=1)
+    df = run_table(None, [("G2Miner", ("mc", 3), "Lj")])
+    (row,) = recorded
+    assert row.pop("paper") == paper.TABLE7["G2Miner"][(3, "Lj")]
+    assert df.to_dict("records") == [row]
+    assert row["value"] == 7 and row["workload"] == "mc/3" and row["seconds"] == 1.235
 
 
 def test_fmt_helpers():

@@ -30,11 +30,7 @@ def test_cell_lists_cover_paper_tables():
     from repro.harness import TABLES, paper_key
 
     for no, (cells_fn, paper_tbl, _) in TABLES.items():
-        cells = cells_fn()
-        made = set()
-        for (s, w, g) in cells:
-            row = {"workload": "/".join(str(x) for x in w), "graph": g}
-            made.add((s, paper_key(row)))
+        made = {(s, paper_key(w, g)) for (s, w, g) in cells_fn()}
         for system, entries in paper_tbl.items():
             for key in entries:
                 assert (system, key) in made, (no, system, key)

@@ -137,24 +137,6 @@ def test_non_cliques(p):
     assert not p.is_clique()
 
 
-def test_diamond_hub_vertices():
-    assert diamond().hub_vertices() == [0, 1]
-    assert diamond().is_hub_pattern()
-
-
-def test_cycle4_not_hub_pattern():
-    assert not cycle(4).is_hub_pattern()
-
-
-def test_star_hub():
-    assert star(3).hub_vertices() == [0]
-
-
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_clique_all_hubs(k):
-    assert clique(k).hub_vertices() == list(range(k))
-
-
 # -- motif generation (Fig. 3) -------------------------------------------
 
 def test_three_motifs():

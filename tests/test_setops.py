@@ -9,8 +9,6 @@ from repro.core.setops import (
     Counter,
     NumpySetOps,
     PythonSetOps,
-    bitmap_from_sorted,
-    bitmap_intersect_count,
 )
 
 sorted_sets = st.lists(
@@ -85,13 +83,3 @@ def test_backends_agree(a, b):
     assert np.array_equal(NumpySetOps.intersect(a, b), PythonSetOps.intersect(a, b))
     assert np.array_equal(NumpySetOps.difference(a, b), PythonSetOps.difference(a, b))
 
-
-def test_bitmap_roundtrip():
-    a = np.array([0, 3, 7], dtype=np.int64)
-    bm = bitmap_from_sorted(a, 10)
-    assert bm.sum() == 3 and bm[3] and not bm[4]
-
-
-def test_bitmap_intersect_count():
-    bm = bitmap_from_sorted(np.array([1, 2, 5], dtype=np.int64), 8)
-    assert bitmap_intersect_count(bm, np.array([2, 3, 5], dtype=np.int64)) == 2
