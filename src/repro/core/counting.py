@@ -122,9 +122,7 @@ def edge_triangle_stats(
         graph, worker = (csr.indptr, edge_keys(csr)), _stats_batch
     else:
         graph, worker = (csr.indptr, csr.indices), partial(_stats_scalar, backend)
-    t_sum, d_sum, paw3 = run_slices(
-        spark, graph, tasks, worker, ("t_sum", "d_sum", "paw3")
-    )
+    t_sum, d_sum, paw3 = run_slices(spark, graph, tasks, worker)
     return {
         "T": t_sum // 3,
         "diamond_non": d_sum,

@@ -92,8 +92,18 @@ def oriented_clique_plan(k: int) -> SearchPlan:
 # -- batched edge kernel (G2Miner edge mode) -----------------------------
 
 #: Most candidates one batched expansion may hold: the cap on the frontier
-#: step that opt K sizes from the ledger (``DFSEngine._frontier_step``).
+#: step that opt K sizes from the ledger (``buffer_step``).
 MAX_STEP = 1 << 14
+
+
+def buffer_step(meter: memmod.MemoryMeter, words: int, devices: int) -> int:
+    """Adaptive buffering (opt K): size a kernel's step from the ledger's
+    free bytes, at most ``MAX_STEP`` cells of ``words`` int64 words per
+    concurrent device, and charge it under ``"buffers"``."""
+    per = words * 8 * devices
+    step = max(1, min(MAX_STEP, (meter.budget - meter.resident) // per))
+    meter.alloc("buffers", step * per)
+    return step
 
 
 def edge_keys(g: CSRGraph) -> np.ndarray:
@@ -237,21 +247,18 @@ def _vertex_worker(kernel_src: str, backend: str, graph, tasks):
 
 
 def run_slices(
-    spark: SparkSession,
-    graph,
-    tasks: np.ndarray,
-    worker: Callable,
-    columns: tuple[str, ...] = ("cnt", "ops"),
+    spark: SparkSession, graph, tasks: np.ndarray, worker: Callable
 ) -> tuple[int, ...]:
     """Run ``worker(graph, slice)`` on every device's task slice and sum
-    the returned tuples column-wise.
+    the returned int64 vectors element-wise.
 
     One Spark task is one GPU. ``graph`` and the already scheduled
     ``tasks`` are broadcast once; partition p of ``spark.range(P)``
     (P = ``defaultParallelism``) runs contiguous slice p of ``ceil(m/P)``
-    tasks, the assignment Arrow slicing of a task frame would give. The P
-    result rows are collected and summed on the driver, so there is no
-    task DataFrame and no shuffle stage.
+    tasks, the assignment Arrow slicing of a task frame would give. Each
+    device returns one vector (a tuple of counts or a count table) as one
+    binary cell; the P vectors are collected and summed on the driver, so
+    there is no task DataFrame and no shuffle stage.
     """
     sc = spark.sparkContext
     P = sc.defaultParallelism
@@ -263,14 +270,15 @@ def run_slices(
         for pdf in batches:
             for p in pdf["id"].tolist():
                 out = worker(graph, tasks[p * size : (p + 1) * size])
-                yield pd.DataFrame([out], columns=list(columns))
+                vec = np.asarray(out, dtype=np.int64).tobytes()
+                yield pd.DataFrame({"vec": [vec]})
 
     try:
-        schema = ", ".join(f"{c} long" for c in columns)
-        rows = spark.range(P, numPartitions=P).mapInPandas(device, schema).collect()
+        rows = spark.range(P, numPartitions=P).mapInPandas(device, "vec binary").collect()
     finally:
         bc.unpersist()
-    return tuple(sum(int(r[i]) for r in rows) for i in range(len(columns)))
+    vecs = [np.frombuffer(r[0], dtype=np.int64) for r in rows]
+    return tuple(np.sum(vecs, axis=0).tolist())
 
 
 class DFSEngine:
@@ -371,13 +379,8 @@ class DFSEngine:
         return g.edge_tasks("all"), False
 
     def _frontier_step(self, meter: memmod.MemoryMeter, k: int) -> int:
-        """Adaptive buffering (opt K) for the batched kernel: size the
-        expansion step from the ledger's free bytes, at most ``MAX_STEP``
-        candidates of k+1 words per concurrent device, and charge it."""
-        per = (k + 1) * 8 * self.cfg.num_partitions
-        step = max(1, min(MAX_STEP, (meter.budget - meter.resident) // per))
-        meter.alloc("buffers", step * per)
-        return step
+        """The batched kernel's expansion step: candidates of k+1 words."""
+        return buffer_step(meter, k + 1, self.cfg.num_partitions)
 
     def _schedule(self, tasks: np.ndarray) -> np.ndarray:
         """Apply the chunked round-robin permutation (SS7.1 policy 3) so

@@ -10,14 +10,22 @@ keeps the same systems behaviour — bounded-BFS aggregation, label-frequency
 pruning, embedding-list OoM — at this reproduction's scale and is recorded
 as a substitution in DESIGN.md.)
 
-The support computation is *generated SQL* that runs identically on Spark
-(the engine) and DuckDB (the oracle): embeddings via adjacency self-joins,
-orbit rows via UNION ALL, then min-over-orbits of COUNT(DISTINCT vertex).
+``support_sql`` generates the support computation as SQL that runs
+identically on Spark and DuckDB (the oracle): embeddings via adjacency
+self-joins, orbit rows via UNION ALL, then min-over-orbits of
+COUNT(DISTINCT vertex). It is the oracle for every variant and the body of
+the Pangolin and Peregrine variants.
 
 System variants (Table 8):
 
-- ``g2miner``   — bounded-BFS aggregation in one pipelined Spark pass per
-                  level (opt M), after label-frequency pruning (opt N).
+- ``g2miner``   — domain counting without embedding lists: after
+                  label-frequency pruning (opt N), one ``run_slices`` job
+                  over contiguous slices of domain vertices. Each device
+                  counts, for the vertices it owns, every orbit domain they
+                  lie in, from the neighbour-label histogram (edge and
+                  wedge orbits) and batched triangle checks; the paper's
+                  per-orbit domain bitmaps become per-device count vectors
+                  that add exactly, since every vertex has one owner.
 - ``pangolin``  — BFS with *materialised* embedding lists (persist+count,
                   charged to the scaled GPU budget -> OoM on Yo), no label
                   pruning.
@@ -29,10 +37,17 @@ System variants (Table 8):
 """
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import memory as memmod
+from repro.core.engine_dfs import (
+    DFSConfig, buffer_step, chunks, edge_keys, expand, member, run_slices,
+)
+from repro.graph.csr import CSRGraph, build_csr
 
 #: Python-object overhead factor for DistGraph's in-RAM embedding store
 #: (a 3-tuple of boxed ints is ~6x the packed 24 bytes).
@@ -155,31 +170,153 @@ def fsm3(
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _tally(xu: np.ndarray, flags: np.ndarray, L: int) -> np.ndarray:
+    """Per-label domain sizes of a block: ``out[x, k]`` is the number of
+    block vertices with label ``xu`` = x whose flag ``flags[., k]`` is set.
+    A vertex lies in one block of one device, so blocks add exactly."""
+    flags = flags.reshape(len(xu), -1)
+    r, k = np.nonzero(flags)
+    K = flags.shape[1]
+    return np.bincount(xu[r] * K + k, minlength=L * K)
+
+
+def _domain_worker(L: int, step: int, graph, tasks) -> np.ndarray:
+    """Orbit domain sizes of every labelled 3-vertex pattern, counted over
+    the device's domain vertices ``tasks``.
+
+    Returns one int64 vector, the four tables flattened in order:
+
+    - ``p[x, y]``     vertices of label x with a label-y neighbour (edge
+                      orbit ``p:x`` of ``E:x_y``);
+    - ``c[c, x, y]``  vertices of label c with two distinct neighbours of
+                      labels x and y (wedge centre of ``W:c:x_y``);
+    - ``e[x, c, y]``  vertices of label x with a label-c neighbour that has
+                      another label-y neighbour (wedge endpoint ``e:x``);
+    - ``t[x, y, z]``  vertices of label x in a triangle with labels y, z
+                      (triangle orbit ``t:x``).
+
+    The first three come from the neighbour-label histogram H, so no wedge
+    is listed; the triangle flags check, for every edge (u, v), the
+    neighbours w > v on the shorter of N(u), N(v) against the other one,
+    with the batched kernel's expand/member code. A vertex block (its
+    flag block, its H rows and its neighbours' rows) and the triangle
+    candidates inside it hold at most ``step`` cells.
+    """
+    indptr, keys, lab = graph
+    n = len(lab)
+    deg = np.diff(indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # Every device holds H for the whole graph: an endpoint orbit reads
+    # the rows of its vertices' neighbours.
+    H = np.bincount(src * L + lab[keys - src * n], minlength=n * L).reshape(n, L)
+    p = np.zeros(L * L, dtype=np.int64)
+    c, e, t = (np.zeros(L**3, dtype=np.int64) for _ in range(3))
+    diag = np.arange(L)
+    for lo, hi in chunks(L * L + deg[tasks] * L, step):
+        u = tasks[lo:hi]
+        xu, hu = lab[u], H[u]
+        p += _tally(xu, hu >= 1, L)
+        pair = (hu >= 1)[:, :, None] & (hu >= 1)[:, None, :]
+        pair[:, diag, diag] = hu >= 2
+        c += _tally(xu, pair, L)
+        row, v = expand(keys, u, indptr[u], deg[u], n)
+        base = (row * L + lab[v]) * L
+        # v's other neighbours: H[v] less u itself.
+        other = H[v]
+        other[np.arange(len(row)), xu[row]] -= 1
+        r, y = np.nonzero(other >= 1)
+        flags = np.zeros(len(u) * L * L, dtype=bool)
+        flags[base[r] + y] = True
+        e += _tally(xu, flags, L)
+        # Triangles (u, v, w), w > v: candidates from the shorter list.
+        uu = u[row]
+        su = np.searchsorted(keys, uu * n + v, "right")
+        sv = np.searchsorted(keys, v * n + v, "right")
+        lu, lv = indptr[uu + 1] - su, indptr[v + 1] - sv
+        side = lu <= lv
+        a, b = np.where(side, uu, v), np.where(side, v, uu)
+        start, lens = np.where(side, su, sv), np.minimum(lu, lv)
+        flags[:] = False
+        for lo2, hi2 in chunks(lens, step):
+            crow, w = expand(keys, a[lo2:hi2], start[lo2:hi2], lens[lo2:hi2], n)
+            hit = member(keys, b[lo2:hi2][crow], w, n)
+            crow, w = crow[hit] + lo2, w[hit]
+            flags[base[crow] + lab[w]] = True
+            flags[(row[crow] * L + lab[w]) * L + lab[v[crow]]] = True
+        t += _tally(xu, flags, L)
+    return np.concatenate([p, c, e, t])
+
+
+def _supports(vec: np.ndarray, good: np.ndarray, sigma: int) -> pd.DataFrame:
+    """The frequent (pattern, support) table from the summed domain tables.
+
+    Support is the minimum over a pattern's orbits; a pattern with an
+    embedding has support >= 1. ``good`` maps compacted labels back.
+    """
+    L = len(good)
+    p = vec[: L * L].reshape(L, L)
+    c, e, t = vec[L * L :].reshape(3, L, L, L)
+    a, b = np.triu_indices(L)
+    w, wa, wb = np.repeat(np.arange(L), len(a)), np.tile(a, L), np.tile(b, L)
+    x, y, z = (m.ravel() for m in np.indices((L, L, L)))
+    tri = (x <= y) & (y <= z)
+    x, y, z = x[tri], y[tri], z[tri]
+    families = [
+        ("E:{}_{}", (a, b), np.minimum(p[a, b], p[b, a])),
+        ("W:{}:{}_{}", (w, wa, wb),
+         np.minimum.reduce([c[w, wa, wb], e[wa, w, wb], e[wb, w, wa]])),
+        ("T:{}_{}_{}", (x, y, z),
+         np.minimum.reduce([t[x, y, z], t[y, x, z], t[z, x, y]])),
+    ]
+    rows = []
+    for key, labs, sup in families:
+        hit = sup >= max(sigma, 1)
+        names = zip(*(good[m[hit]].tolist() for m in labs))
+        rows += [(key.format(*ls), s) for ls, s in zip(names, sup[hit].tolist())]
+    return _frequent(pd.DataFrame(rows, columns=["pattern", "support"]), sigma)
+
+
+def _pruned_graph(adj, labels, sigma) -> tuple[np.ndarray, CSRGraph]:
+    """Opt N: label-frequency pruning. Infrequent labels cannot appear in
+    any frequent pattern (their orbit domain is capped by label frequency),
+    so their vertices are dropped before any search.
+
+    Returns the frequent labels (ascending) and the pruned symmetric CSR,
+    with the kept vertices renumbered 0..n-1 in id order (neighbour lists
+    stay sorted) and ``labels`` compacted to indices into the first.
+    """
+    freq = labels.groupby("label")["v"].count()
+    good = np.sort(freq[freq >= sigma].index.to_numpy())
+    kept = labels[labels["label"].isin(good)].sort_values("v")
+    keep = kept["v"].to_numpy()
+    ends = adj[["src", "dst"]].to_numpy()
+    vid = np.full(max(ends.max(initial=-1), labels["v"].max()) + 1, -1)
+    vid[keep] = np.arange(len(keep))
+    ends = vid[ends]
+    lab = np.searchsorted(good, kept["label"].to_numpy())
+    g = build_csr(
+        ends[(ends >= 0).all(axis=1)], n=len(keep), labels=lab, symmetrize=False
+    )
+    return good, g
+
+
 def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
     meter = meter or memmod.MemoryMeter(memmod.GPU_MEM_BYTES)
-    # Opt N: label-frequency pruning. Infrequent labels cannot appear in
-    # any frequent pattern (their orbit domain is capped by label
-    # frequency), so drop those vertices before any enumeration; the
-    # number of possible patterns N — and the per-pattern subgraph-list
-    # allocations — shrink accordingly.
-    freq = labels.groupby("label")["v"].count()
-    good = set(freq[freq >= sigma].index)
-    lab2 = labels[labels["label"].isin(good)]
-    keep = set(lab2["v"])
-    adj2 = adj[adj["src"].isin(keep) & adj["dst"].isin(keep)]
-    n_labels = len(good)
-    n_patterns = n_labels + n_labels**2 + n_labels**3  # possible 3-FSM keys
-    meter.alloc("graph", adj2.values.nbytes + lab2.values.nbytes)
-    meter.alloc("pattern_lists", n_patterns * 64)
+    good, g = _pruned_graph(adj, labels, sigma)
+    # The edge keys replace indices: the same bytes as the "graph" charge.
+    meter.alloc("graph", g.nbytes())
     try:
-        _register_views(spark, adj2, lab2)
-        parts = [
-            spark.sql(support_sql(k)).toPandas() for k in ("edge", "wedge", "tri")
-        ]
-        return _frequent(pd.concat(parts, ignore_index=True), sigma)
+        L = len(good)
+        meter.alloc("histogram", g.n * L * 8)
+        step = buffer_step(meter, 1, DFSConfig.num_partitions)
+        vec = run_slices(
+            spark, (g.indptr, edge_keys(g), g.labels), np.arange(g.n),
+            partial(_domain_worker, L, step),
+        )
+        return _supports(np.array(vec, dtype=np.int64), good, sigma)
     finally:
-        meter.free("graph")
-        meter.free("pattern_lists")
+        for what in ("graph", "histogram", "buffers"):
+            meter.free(what)
 
 
 def _fsm_pangolin(spark, adj, labels, sigma, meter) -> pd.DataFrame:

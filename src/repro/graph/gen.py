@@ -196,5 +196,6 @@ def adj_pdf(name: str) -> pd.DataFrame:
 def labels_pdf(name: str) -> pd.DataFrame:
     """Vertex labels as pandas ``(v, label)``."""
     spec = _spec(name)
-    _, lab = generate_graph(name)
-    return pd.DataFrame({"v": np.arange(spec.n, dtype=np.int64), "label": lab})
+    return pd.DataFrame(
+        {"v": np.arange(spec.n, dtype=np.int64), "label": vertex_labels(spec)}
+    )

@@ -37,6 +37,13 @@ def get_csr(name: str) -> CSRGraph:
     return build_csr(edges, labels=lab)
 
 
+@lru_cache(maxsize=None)
+def get_fsm_inputs(name: str) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Build (and cache) a labelled graph's ``(adj, labels)`` frames, the
+    FSM inputs. Every cell shares them, so no caller may modify them."""
+    return gen.adj_pdf(name), gen.labels_pdf(name)
+
+
 def sl_pattern(name: str) -> Pattern:
     return {"diamond": diamond(), "4-cycle": cycle(4)}[name]
 
@@ -72,7 +79,7 @@ def run_cell(
         if kind == "mc":
             return count_motifs(spark, get_csr(graph), workload[1], sys.make_engine())
         if kind == "fsm":
-            adj, labels = gen.adj_pdf(graph), gen.labels_pdf(graph)
+            adj, labels = get_fsm_inputs(graph)
             out = fsmmod.fsm3(
                 spark, adj, labels, workload[1], variant=sys.fsm_variant
             )

@@ -4,8 +4,8 @@ DFS order, pattern/input/architecture aware: edge parallelism, vectorised
 (SIMD-analog) set ops, orientation for cliques (every k runs the batched
 oriented kernel), edgelist reduction, chunked round-robin partition
 scheduling, GPU memory budget.
-Supports every workload, including FSM (bounded BFS, opt M+N) and
-counting-only pruning (opt D).
+Supports every workload, including FSM (domain counting after
+label-frequency pruning, opt N) and counting-only pruning (opt D).
 """
 from repro import memory as memmod
 from repro.core.engine_dfs import DFSConfig, DFSEngine

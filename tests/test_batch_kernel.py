@@ -132,10 +132,28 @@ def test_edge_keys_are_sorted_rows(g):
 def test_run_slices_covers_every_task_once(spark, m):
     P = spark.sparkContext.defaultParallelism
     tasks = np.arange(m, dtype=np.int64)
-    n, s = run_slices(spark, 10, tasks, lambda graph, t: (len(t), int(t.sum()) + graph),
-                      ("n", "s"))
+    n, s = run_slices(spark, 10, tasks, lambda graph, t: (len(t), int(t.sum()) + graph))
     assert n == m
     assert s == m * (m - 1) // 2 + 10 * P  # every device ran, once
+
+
+@pytest.mark.parametrize("m", [0, 2, 1001])
+def test_run_slices_sums_vectors_elementwise(spark, m):
+    """A worker's result may be a long int64 vector (a count table)."""
+    P = spark.sparkContext.defaultParallelism
+    tasks = np.arange(m, dtype=np.int64)
+
+    def worker(graph, t):
+        vec = np.zeros(1000, dtype=np.int64)
+        np.add.at(vec, t % 1000, t)
+        vec[-1] += graph
+        return vec
+
+    got = run_slices(spark, 1 << 40, tasks, worker)
+    want = np.zeros(1000, dtype=np.int64)
+    np.add.at(want, tasks % 1000, tasks)
+    want[-1] += (1 << 40) * P
+    assert got == tuple(want.tolist())
 
 
 def test_run_slices_edge_tasks(spark, g):
@@ -154,7 +172,7 @@ def test_run_slices_gives_contiguous_slices(spark):
                              and t[0] % size == 0)
         return (int(ok),)
 
-    assert run_slices(spark, None, tasks, worker, ("ok",)) == (P,)
+    assert run_slices(spark, None, tasks, worker) == (P,)
 
 
 # -- counting sweep, config, ledger --------------------------------------

@@ -15,11 +15,14 @@ run. Formulas mirror the engines' ledgers exactly:
 - Pangolin k-CL adds the materialised level lists (triangles x 24 B,
   4-cliques x 32 B).
 - FSM: wedge-embedding list x 24 B (Pangolin) or x 144 B (DistGraph's
-  Python object store) vs the GPU / CPU budgets.
+  Python object store) vs the GPU / CPU budgets; G2Miner holds no
+  embedding list, only the label-pruned CSR, the neighbour-label
+  histogram and its domain-flag block.
 """
 import numpy as np
 import pytest
 
+from repro.core.engine_dfs import DFSConfig
 from repro.graph.csr import build_csr
 from repro.graph.gen import generate_graph
 from repro.memory import CPU_MEM_BYTES, GPU_MEM_BYTES
@@ -131,3 +134,19 @@ def test_distgraph_fsm_fits(g):
 
 def test_distgraph_fsm_yo_oom():
     assert wedges("Yo") * 144 > CPU_MEM_BYTES
+
+
+def test_g2miner_fsm_yo_fits():
+    """G2Miner runs Yo at the smallest Table 8 support (sigma = 3, which
+    prunes the fewest labels): the pruned symmetric CSR (indptr, edge keys,
+    labels), the n x L int64 histogram and a one-cell domain-flag block per
+    device fit the GPU budget."""
+    e, lab = generate_graph("Yo")
+    vals, cnt = np.unique(lab, return_counts=True)
+    good = vals[cnt >= 3]
+    keep = np.isin(lab, good)
+    n, L = int(keep.sum()), len(good)
+    m = int((keep[e[:, 0]] & keep[e[:, 1]]).sum())
+    graph = (n + 1) * 8 + 2 * m * 8 + n * 8
+    need = graph + n * L * 8 + 8 * DFSConfig.num_partitions
+    assert need < GPU_MEM_BYTES

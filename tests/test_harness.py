@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro import harness, paper_numbers as paper
+from repro.graph import gen
 from repro.harness import fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern
 from repro.timeout import CellResult
 
@@ -44,6 +45,18 @@ def test_run_cell_mc(spark):
 def test_run_cell_fsm(spark):
     r = run_cell(spark, "G2Miner", ("fsm", 3), "tiny_labeled", timeout_s=60)
     assert r.status == "ok" and r.value > 0
+
+
+def test_fsm_graph_generated_once(spark, monkeypatch):
+    """FSM cells of every system share one generation of their graph."""
+    calls = []
+    real = gen.generate_graph
+    monkeypatch.setattr(gen, "generate_graph", lambda name: calls.append(name) or real(name))
+    harness.get_fsm_inputs.cache_clear()
+    for system in ("G2Miner", "DistGraph", "G2Miner"):
+        r = run_cell(spark, system, ("fsm", 3), "tiny_labeled", timeout_s=60)
+        assert r.status == "ok"
+    assert calls == ["tiny_labeled"]
 
 
 def test_run_cell_counting(spark):
