@@ -3,6 +3,10 @@ from __future__ import annotations
 
 from repro.harness import cell_row, paper_key, run_cell
 
+#: (workload, graph) -> (system, value) of the first system that finished
+#: that cell in this session.
+_finished: dict[tuple, tuple[str, object]] = {}
+
 
 def bench_cell(
     spark, benchmark, record, table: str, paper_tbl: dict,
@@ -10,7 +14,9 @@ def bench_cell(
 ) -> None:
     """Run one table cell under pytest-benchmark (single round) and record
     ours-vs-paper. OoM/TO are valid outcomes (they ARE the paper's cells);
-    only unexpected errors fail the benchmark."""
+    unexpected errors fail the benchmark, and so does a finished cell whose
+    value (a motif table compared whole) differs from that of another
+    system that finished the same cell."""
     result = benchmark.pedantic(
         lambda: run_cell(spark, system, workload, graph, timeout_s=timeout_s),
         rounds=1,
@@ -22,3 +28,8 @@ def bench_cell(
     assert result.status in ("ok", "OoM", "TO"), result.detail
     if result.status == "ok":
         assert result.value is not None
+        first, value = _finished.setdefault((workload, graph), (system, result.value))
+        assert result.value == value, (
+            f"{system} and {first} disagree on {row['workload']} {graph}: "
+            f"{result.value!r} != {value!r}"
+        )

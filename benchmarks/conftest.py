@@ -54,10 +54,8 @@ def cell_timeout() -> float:
 @pytest.fixture(scope="session", autouse=True)
 def _warmup(spark):
     """Pay Spark/Arrow/python-worker startup once, outside any timed cell."""
-    from repro.core.engine_dfs import DFSConfig, DFSEngine
+    from repro.core.engine_dfs import DFSEngine
     from repro.core.pattern import clique
     from repro.harness import get_csr
 
-    DFSEngine(DFSConfig(memory_budget=1 << 40)).count(
-        spark, get_csr("tiny"), clique(3)
-    )
+    DFSEngine().count(spark, get_csr("tiny"), clique(3))

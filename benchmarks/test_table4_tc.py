@@ -3,9 +3,9 @@ import pytest
 
 from _bench_common import bench_cell
 from repro import paper_numbers as paper
-from repro.harness import table4_cells
+from repro.harness import table_cells
 
-CELLS = table4_cells()
+CELLS = table_cells(4)
 IDS = [f"{s}-{g}" for (s, w, g) in CELLS]
 
 

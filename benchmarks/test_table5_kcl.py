@@ -3,9 +3,9 @@ import pytest
 
 from _bench_common import bench_cell
 from repro import paper_numbers as paper
-from repro.harness import table5_cells
+from repro.harness import table_cells
 
-CELLS = table5_cells()
+CELLS = table_cells(5)
 IDS = [f"{s}-{'/'.join(str(x) for x in w)}-{g}" for (s, w, g) in CELLS]
 
 

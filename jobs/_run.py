@@ -33,7 +33,9 @@ def make_spark():
 
 
 def run_table_job(table_no: int) -> None:
-    from repro.harness import DEFAULT_TIMEOUT_S, TABLES, print_side_by_side, run_table
+    from repro.harness import (
+        DEFAULT_TIMEOUT_S, TABLES, print_side_by_side, run_table, table_cells,
+    )
 
     ap = argparse.ArgumentParser()
     ap.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
@@ -41,8 +43,8 @@ def run_table_job(table_no: int) -> None:
     ap.add_argument("--graphs", type=str, default="")
     args = ap.parse_args()
 
-    cells_fn, paper_tbl, title = TABLES[table_no]
-    cells = cells_fn()
+    paper_tbl, title, _ = TABLES[table_no]
+    cells = table_cells(table_no)
     if args.systems:
         keep = set(args.systems.split(","))
         cells = [c for c in cells if c[0] in keep]

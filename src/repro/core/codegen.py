@@ -23,7 +23,7 @@ from repro.core.plan import SearchPlan
 
 
 def _level_body(plan: SearchPlan, i: int, lines: list[str], ind: str,
-                needed_nbrs: set[int], guard_first: bool) -> None:
+                needed_nbrs: set[int]) -> None:
     """Emit code computing candidate set ``S{i}`` and the loop/leaf for
     level ``i`` (recursive over levels)."""
     k = plan.k
@@ -66,7 +66,7 @@ def _level_body(plan: SearchPlan, i: int, lines: list[str], ind: str,
     ind2 = ind + "    "
     if i in needed_nbrs:
         lines.append(f"{ind2}N{i} = indices[indptr[v{i}]:indptr[v{i}+1]]")
-    _level_body(plan, i + 1, lines, ind2, needed_nbrs, guard_first)
+    _level_body(plan, i + 1, lines, ind2, needed_nbrs)
 
 
 def kernel_source(plan: SearchPlan, mode: str, *, assume_reduced: bool = True) -> str:
@@ -99,7 +99,7 @@ def kernel_source(plan: SearchPlan, mode: str, *, assume_reduced: bool = True) -
         if k == 2:
             lines.append("    total += 1")
         else:
-            _level_body(plan, 2, lines, "    ", needed, False)
+            _level_body(plan, 2, lines, "    ", needed)
     elif mode == "vertex":
         lines.append("def kernel(v0, indptr, indices, ops, ctr):")
         lines.append("    total = 0")
@@ -118,7 +118,7 @@ def kernel_source(plan: SearchPlan, mode: str, *, assume_reduced: bool = True) -
             lines.append(f"    for v1 in {cur}:")
             if 1 in needed:
                 lines.append("        N1 = indices[indptr[v1]:indptr[v1+1]]")
-            _level_body(plan, 2, lines, "        ", needed, False)
+            _level_body(plan, 2, lines, "        ", needed)
     else:
         raise ValueError(f"bad mode {mode!r}")
     lines.append("    return total")

@@ -143,13 +143,13 @@ def count3_counting_only(
 
 
 def count4_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None,
-    backend: str = "numpy",
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None
 ) -> dict[str, int]:
     """All six induced 4-motif counts from decompositions + two real
-    enumerations (4-clique, 4-cycle)."""
+    enumerations (4-clique, 4-cycle); the stats sweep uses the engine's
+    set-op backend."""
     engine = engine or DFSEngine()
-    stats = edge_triangle_stats(spark, csr, backend=backend)
+    stats = edge_triangle_stats(spark, csr, backend=engine.cfg.setops)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
     k4 = engine.count(spark, csr, clique(4))
@@ -171,7 +171,9 @@ def count4_counting_only(
 
 
 def diamond_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy"
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None
 ) -> int:
-    """Algorithm 3: edge-induced diamond count = sum_e C(t_e, 2)."""
+    """Algorithm 3: edge-induced diamond count = sum_e C(t_e, 2), swept
+    with the engine's set-op backend."""
+    backend = (engine or DFSEngine()).cfg.setops
     return edge_triangle_stats(spark, csr, backend=backend)["diamond_non"]

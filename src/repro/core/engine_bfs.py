@@ -7,7 +7,7 @@ the pattern's constraints applied on the fly. This is exactly the
 "DataFrame-based subgraph enumeration over partitioned graph data" port of
 the GPU BFS systems:
 
-- **Pangolin mode** (``materialize=True``): every intermediate level is
+- **Pangolin mode** (``adj_partitions=0``): every intermediate level is
   persisted and counted; its bytes are charged against the scaled GPU
   memory budget, which is where the paper's OoM cells come from. Pangolin
   has orientation for cliques (Table 2 opt A: yes) but no edgelist
@@ -17,12 +17,13 @@ the GPU BFS systems:
   repartition of the intermediate per level — the cross-partition
   communication that makes PBE slower than G2Miner despite never running
   out of memory (it streams blocks). No orientation (SS8.1).
+
+Both modes charge the GPU budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -34,14 +35,11 @@ from repro.core.plan import SearchPlan, build_plan
 from repro.graph.csr import CSRGraph
 
 
-@dataclass
+@dataclass(frozen=True)
 class BFSConfig:
-    """Configuration of the BFS engine (one per baseline system)."""
+    """Configuration of the BFS engine: 0 is Pangolin, P > 0 is PBE."""
 
-    materialize: bool = True  # persist every level's subgraph list (Pangolin)
-    adj_partitions: int = 0  # P-way partitioned adjacency (PBE); 0 = off
-    orientation: bool = True  # opt A for cliques (Pangolin yes, PBE no)
-    memory_budget: int = memmod.GPU_MEM_BYTES
+    adj_partitions: int = 0  # P-way partitioned adjacency (PBE); 0 = Pangolin
 
 
 class BFSEngine:
@@ -49,6 +47,12 @@ class BFSEngine:
 
     def __init__(self, config: BFSConfig | None = None):
         self.cfg = config or BFSConfig()
+
+    @property
+    def budget(self) -> int:
+        """The device budget ``count`` charges unless given a ``meter``:
+        the GPU's, in both modes."""
+        return memmod.GPU_MEM_BYTES
 
     def count(
         self,
@@ -64,11 +68,11 @@ class BFSEngine:
         Raises ``OutOfMemoryError`` if the materialised subgraph lists
         exceed the engine's device budget (Pangolin mode).
         """
-        cfg = self.cfg
-        meter = meter or memmod.MemoryMeter(cfg.memory_budget)
+        P = self.cfg.adj_partitions
+        meter = meter or memmod.MemoryMeter(self.budget)
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
-        # so orientation applies regardless of the induced flag.
-        use_orient = pattern.is_clique() and cfg.orientation
+        # so Pangolin orients regardless of the induced flag.
+        use_orient = pattern.is_clique() and P == 0
         g = csr.orient() if use_orient else csr
         plan = (
             oriented_clique_plan(pattern.k)
@@ -76,13 +80,13 @@ class BFSEngine:
             else build_plan(pattern, induced=induced)
         )
         edges = g.edge_tasks("all")  # no edgelist reduction in the baselines
-        if cfg.adj_partitions > 0:
+        if P > 0:
             # PBE partitions the data graph precisely so that only one
             # partition is resident at a time — that is how it "supports
             # large graphs" (SS3.2) at the price of cross-partition
             # communication. Charge a single partition's share.
-            meter.alloc("csr", g.nbytes() // cfg.adj_partitions)
-            meter.alloc("edgelist", edges.nbytes // cfg.adj_partitions)
+            meter.alloc("csr", g.nbytes() // P)
+            meter.alloc("edgelist", edges.nbytes // P)
         else:
             meter.alloc("csr", g.nbytes())
             meter.alloc("edgelist", edges.nbytes)
@@ -96,15 +100,11 @@ class BFSEngine:
             pd.DataFrame({"src": edges[:, 0], "dst": edges[:, 1]})
         )
         adj_parts: list[DataFrame] = []
-        if cfg.adj_partitions > 0:
+        if P > 0:
             # PBE: the data graph is partitioned; extension must consult
             # every partition (cross-partition communication).
-            part = F.pmod(F.hash("src"), F.lit(cfg.adj_partitions))
-            whole = adj.withColumn("p", part)
-            adj_parts = [
-                whole.filter(F.col("p") == i).drop("p")
-                for i in range(cfg.adj_partitions)
-            ]
+            whole = adj.withColumn("p", F.pmod(F.hash("src"), F.lit(P)))
+            adj_parts = [whole.filter(F.col("p") == i).drop("p") for i in range(P)]
 
         # Level-1 subgraph list: the edge list with the v0/v1 symmetry
         # constraint applied on the fly (the baselines filter rather than
@@ -121,7 +121,7 @@ class BFSEngine:
                 level = self._extend(level, lvl, plan, adj, adj_parts)
                 if lvl == plan.k - 1:
                     break  # leaf level: counted, never stored (Alg. 2 line 7)
-                if cfg.materialize:
+                if P == 0:
                     level = level.persist()
                     persisted.append(level)
                     rows = level.count()

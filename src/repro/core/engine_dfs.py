@@ -3,9 +3,8 @@
 Execution model (the warp-centric two-level parallelism of SS5.1, ported to
 the Spark dataflow model):
 
-- *Tasks* are edges (G2Miner default) or root vertices (CPU systems): a
-  numpy task array, pre-permuted with the chunked round-robin order
-  (SS7.1 policy 3), broadcast once with the graph. ``run_slices`` gives
+- *Tasks* are edges (G2Miner) or root vertices (CPU systems): a numpy
+  task array, broadcast once with the graph. ``run_slices`` gives
   each Spark partition one contiguous slice of it: one Spark task = one
   "GPU".
 - Edge mode runs the *batched kernel* (``batch_count``) over the device's
@@ -18,12 +17,18 @@ the Spark dataflow model):
 - Vertex mode (the CPU systems' documented strategy) runs the pattern's
   *generated kernel* (codegen.py) task by task with that system's set-op
   backend.
-- Cliques of every size run on the oriented graph (opt A) with
+- G2Miner's cliques of every size run on the oriented graph (opt A) with
   ``oriented_clique_plan``, in edge mode on DAG-edge tasks: each level's
   candidates come from the intersection of the earlier
   out-neighbourhoods, a search inside the (v0, v1) local graph (the role
   of the paper's LGS, opt E) with membership tested on the sorted edge
   keys in place of a dense bitmap (opt F).
+
+``DFSConfig.parallelism`` picks the whole bundle. ``"edge"`` is G2Miner on
+the GPU: orientation for cliques, tasks pre-permuted with the chunked
+round-robin order (SS7.1 policy 3) and the GPU budget, kept when a run
+falls back to vertex tasks. ``"vertex"`` is the CPU systems: no
+orientation, tasks in natural order and the host budget.
 
 The engine accounts all materialised state against a device-memory budget
 (``repro.memory``) and can report per-task measured work for the multi-GPU
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 import pandas as pd
@@ -48,19 +53,20 @@ from repro.graph.csr import CSRGraph
 from repro.sched.policies import chunked_round_robin_order
 
 
-@dataclass
+@dataclass(frozen=True)
 class DFSConfig:
-    """Engine configuration — the knobs Table 2's optimizations hang off.
+    """Engine configuration: the parallelism mode and the set-op backend.
 
-    The system facades in ``repro/systems/`` are specific settings of this.
+    The system facades in ``repro/systems/`` are specific settings of this;
+    every other Table 2 optimisation follows from ``parallelism`` (see the
+    module docstring).
     """
 
     parallelism: str = "edge"  # 'edge' (G2Miner) | 'vertex' (CPU systems)
     setops: str = "numpy"  # 'numpy' (SIMD/warp analog) | 'python' (scalar)
-    orientation: bool = True  # opt A, cliques
-    num_partitions: int = 16
-    memory_budget: int = memmod.GPU_MEM_BYTES
-    chunked_schedule: bool = True  # opt G analog for partition balance
+    #: Concurrent devices the chunked round-robin order and the buffer
+    #: charges assume. Fixed, so the ledger does not depend on the host.
+    num_partitions: ClassVar[int] = 16
 
     def __post_init__(self):
         if self.parallelism == "edge" and self.setops != "numpy":
@@ -286,7 +292,14 @@ class DFSEngine:
 
     def __init__(self, config: DFSConfig | None = None):
         self.cfg = config or DFSConfig()
+        self._gpu = self.cfg.parallelism == "edge"
         self.last_ops = 0  # measured set-op work of the last run
+
+    @property
+    def budget(self) -> int:
+        """The device budget ``count`` charges unless given a ``meter``:
+        the GPU's for G2Miner, the host's for the CPU systems."""
+        return memmod.GPU_MEM_BYTES if self._gpu else memmod.CPU_MEM_BYTES
 
     # -- public API (the count()/list() of Listing 1) --------------------
 
@@ -305,11 +318,10 @@ class DFSEngine:
         else edge-induced/monomorphism matches up to automorphism
         (TC/k-CL/SL semantics).
         """
-        meter = meter or memmod.MemoryMeter(self.cfg.memory_budget)
-        cfg = self.cfg
+        meter = meter or memmod.MemoryMeter(self.budget)
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
         # so orientation applies regardless of the induced flag.
-        use_orient = pattern.is_clique() and cfg.orientation
+        use_orient = pattern.is_clique() and self._gpu
         g = csr.orient() if use_orient else csr
         meter.alloc("csr", g.nbytes())
         try:
@@ -318,7 +330,7 @@ class DFSEngine:
                 if use_orient
                 else build_plan(pattern, induced=induced)
             )
-            use_edge = cfg.parallelism == "edge" and plan.edge_parallel_ok()
+            use_edge = self._gpu and plan.edge_parallel_ok()
             if use_edge:
                 # Input-aware Omega management (SS5.1 + SS7.2): when the
                 # symmetry order does not cover (v0, v1) the edgelist
@@ -345,11 +357,11 @@ class DFSEngine:
                 meter.alloc("tasks", tasks.nbytes)
                 meter.alloc(
                     "buffers",
-                    plan.num_buffers() * g.max_degree * 8 * cfg.num_partitions,
+                    plan.num_buffers() * g.max_degree * 8 * DFSConfig.num_partitions,
                 )
                 tasks = self._schedule(tasks)
                 graph = (g.indptr, g.indices)
-                worker = partial(_vertex_worker, kernel_src, cfg.setops)
+                worker = partial(_vertex_worker, kernel_src, self.cfg.setops)
             cnt, ops = run_slices(spark, graph, tasks, worker)
             self.last_ops = ops
             return cnt
@@ -372,24 +384,23 @@ class DFSEngine:
         symmetry order covers (v0, v1). Returns (tasks, reduced?)."""
         if g.directed:
             return g.edge_tasks("all"), True
-        if (0, 1) in plan.sym:
-            return g.edge_tasks("lt"), True
-        if (1, 0) in plan.sym:
-            return g.edge_tasks("gt"), True
-        return g.edge_tasks("all"), False
+        if not plan.first_edge_reduced():
+            return g.edge_tasks("all"), False
+        return g.edge_tasks("lt" if (0, 1) in plan.sym else "gt"), True
 
-    def _frontier_step(self, meter: memmod.MemoryMeter, k: int) -> int:
+    @staticmethod
+    def _frontier_step(meter: memmod.MemoryMeter, k: int) -> int:
         """The batched kernel's expansion step: candidates of k+1 words."""
-        return buffer_step(meter, k + 1, self.cfg.num_partitions)
+        return buffer_step(meter, k + 1, DFSConfig.num_partitions)
 
     def _schedule(self, tasks: np.ndarray) -> np.ndarray:
-        """Apply the chunked round-robin permutation (SS7.1 policy 3) so
-        contiguous partitions get interleaved (balanced) work."""
-        if not self.cfg.chunked_schedule or len(tasks) == 0:
+        """G2Miner applies the chunked round-robin permutation (SS7.1
+        policy 3) so contiguous partitions get interleaved (balanced)
+        work; the CPU systems keep natural order with static partitioning
+        (the coarse-grain load imbalance of SS5.1(2))."""
+        if not self._gpu or len(tasks) == 0:
             return tasks
-        perm = chunked_round_robin_order(
-            len(tasks), self.cfg.num_partitions, chunk=32
-        )
+        perm = chunked_round_robin_order(len(tasks), DFSConfig.num_partitions, chunk=32)
         return tasks[perm]
 
     def per_task_costs(

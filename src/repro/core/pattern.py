@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -41,13 +39,6 @@ class Pattern:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def adj_matrix(self) -> np.ndarray:
-        A = np.zeros((self.k, self.k), dtype=bool)
-        for e in self.edges:
-            u, v = tuple(e)
-            A[u, v] = A[v, u] = True
-        return A
 
     def has_edge(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges

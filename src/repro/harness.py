@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -42,6 +41,14 @@ def get_fsm_inputs(name: str) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Build (and cache) a labelled graph's ``(adj, labels)`` frames, the
     FSM inputs. Every cell shares them, so no caller may modify them."""
     return gen.adj_pdf(name), gen.labels_pdf(name)
+
+
+#: Counting-only workloads (Table 9) -> their decomposition.
+COUNTING = {
+    "diamond": counting.diamond_counting_only,
+    "3-motif": counting.count3_counting_only,
+    "4-motif": counting.count4_counting_only,
+}
 
 
 def sl_pattern(name: str) -> Pattern:
@@ -84,19 +91,9 @@ def run_cell(
                 spark, adj, labels, workload[1], variant=sys.fsm_variant
             )
             return len(out)
-        if kind == "counting":
-            which = workload[1]
-            csr = get_csr(graph)
-            backend = sys.setops_backend
-            if which == "diamond":
-                return counting.diamond_counting_only(spark, csr, backend=backend)
-            eng = sys.make_engine()
-            if which == "3-motif":
-                return counting.count3_counting_only(spark, csr, engine=eng)
-            if which == "4-motif":
-                return counting.count4_counting_only(
-                    spark, csr, engine=eng, backend=backend
-                )
+        if kind == "counting" and workload[1] in COUNTING:
+            fn = COUNTING[workload[1]]
+            return fn(spark, get_csr(graph), engine=sys.make_engine())
         raise ValueError(f"unknown workload {workload!r}")
 
     t0 = time.perf_counter()
@@ -152,57 +149,24 @@ def run_table(
 
 # -- per-table cell lists (one entry per cell of the paper's tables) -----
 
-TC_GRAPHS = ["Lj", "Or", "Tw2", "Tw4", "Fr", "Uk"]
-KCL_CELLS = [(4, g) for g in ["Lj", "Or", "Tw2", "Tw4", "Fr"]] + [
-    (5, g) for g in ["Lj", "Or", "Fr"]
-]
-SL_CELLS = [("diamond", g) for g in ["Lj", "Or", "Tw2", "Tw4", "Fr"]] + [
-    ("4-cycle", g) for g in ["Lj", "Or", "Fr"]
-]
-MC_CELLS = [(3, g) for g in ["Lj", "Or", "Tw2", "Tw4", "Fr"]] + [
-    (4, g) for g in ["Lj", "Or", "Fr"]
-]
-FSM_CELLS = [
-    (g, s) for g in ["Mi", "Pa", "Yo"] for s in [300, 500, 1000, 5000]
-]
-COUNTING_CELLS = [(w, g) for w in ["diamond", "3-motif"]
-                  for g in ["Lj", "Or", "Tw2", "Tw4", "Fr"]] + [
-    ("4-motif", g) for g in ["Lj", "Or", "Fr"]
-]
+#: Table number -> (paper table, title, paper key -> (workload, graph)).
+TABLES = {
+    4: (paper.TABLE4, "Triangle counting (TC)", lambda g: (("tc",), g)),
+    5: (paper.TABLE5, "k-clique listing (k-CL)", lambda kg: (("kcl", kg[0]), kg[1])),
+    6: (paper.TABLE6, "Subgraph listing (SL)", lambda pg: (("sl", pg[0]), pg[1])),
+    7: (paper.TABLE7, "k-motif counting (k-MC)", lambda kg: (("mc", kg[0]), kg[1])),
+    8: (paper.TABLE8, "3-FSM",
+        lambda gs: (("fsm", paper.SIGMA_SCALE[gs[1]]), gs[0])),
+    9: (paper.TABLE9, "Counting-only pruning",
+        lambda wg: (("counting", wg[0]), wg[1])),
+}
 
 
-def table4_cells() -> list[tuple[str, tuple, str]]:
-    systems = ["G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero"]
-    return [(s, ("tc",), g) for s in systems for g in TC_GRAPHS]
-
-
-def table5_cells() -> list[tuple[str, tuple, str]]:
-    systems = ["G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero"]
-    return [(s, ("kcl", k), g) for s in systems for (k, g) in KCL_CELLS]
-
-
-def table6_cells() -> list[tuple[str, tuple, str]]:
-    systems = ["G2Miner", "PBE", "Peregrine", "GraphZero"]
-    return [(s, ("sl", p), g) for s in systems for (p, g) in SL_CELLS]
-
-
-def table7_cells() -> list[tuple[str, tuple, str]]:
-    systems = ["G2Miner", "Pangolin", "Peregrine", "GraphZero"]
-    return [(s, ("mc", k), g) for s in systems for (k, g) in MC_CELLS]
-
-
-def table8_cells() -> list[tuple[str, tuple, str]]:
-    systems = ["G2Miner", "Pangolin", "Peregrine", "DistGraph"]
-    return [
-        (s, ("fsm", paper.SIGMA_SCALE[sig]), g)
-        for s in systems
-        for (g, sig) in FSM_CELLS
-    ]
-
-
-def table9_cells() -> list[tuple[str, tuple, str]]:
-    systems = ["G2Miner", "Peregrine"]
-    return [(s, ("counting", w), g) for s in systems for (w, g) in COUNTING_CELLS]
+def table_cells(no: int) -> list[tuple[str, tuple, str]]:
+    """Table ``no``'s (system, workload, graph) cells: one per entry of the
+    paper's table, in its order."""
+    paper_tbl, _, to_cell = TABLES[no]
+    return [(s, *to_cell(key)) for s, keys in paper_tbl.items() for key in keys]
 
 
 def paper_key(workload: tuple, graph: str) -> tuple | str:
@@ -216,16 +180,6 @@ def paper_key(workload: tuple, graph: str) -> tuple | str:
         inv = {v: k for k, v in paper.SIGMA_SCALE.items()}
         return (graph, inv[workload[1]])
     raise ValueError(kind)
-
-
-TABLES = {
-    4: (table4_cells, paper.TABLE4, "Triangle counting (TC)"),
-    5: (table5_cells, paper.TABLE5, "k-clique listing (k-CL)"),
-    6: (table6_cells, paper.TABLE6, "Subgraph listing (SL)"),
-    7: (table7_cells, paper.TABLE7, "k-motif counting (k-MC)"),
-    8: (table8_cells, paper.TABLE8, "3-FSM"),
-    9: (table9_cells, paper.TABLE9, "Counting-only pruning"),
-}
 
 
 def print_side_by_side(

@@ -2,12 +2,14 @@
 
 A ``System`` bundles an engine factory with the capability flags the paper
 reports in Table 1 (which workloads each system supports) plus its FSM
-variant and counting-only backend. Registration happens at import of each
+variant. The engine's configuration carries everything else: parallelism,
+orientation, schedule, set-op backend (also used by the counting-only
+sweeps) and memory budget. Registration happens at import of each
 ``repro.systems.<name>`` module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -16,12 +18,9 @@ class System:
     """One evaluated system (a row of the paper's Table 1)."""
 
     name: str
-    kind: str  # 'dfs' | 'bfs'
     make_engine: Callable  # () -> DFSEngine | BFSEngine
     supports: frozenset[str]  # of {'tc','kcl','sl','mc','fsm','counting'}
     fsm_variant: str | None = None
-    setops_backend: str = "numpy"  # backend for counting-only sweeps
-    platform: str = "GPU"  # cosmetic: matches the paper's (G)/(C) tags
 
 
 SYSTEMS: dict[str, System] = {}

@@ -16,10 +16,8 @@ def make_engine():
 SYSTEM = register(
     System(
         name="DistGraph",
-        kind="dfs",
         make_engine=make_engine,
         supports=frozenset({"fsm"}),
         fsm_variant="distgraph",
-        platform="CPU",
     )
 )

@@ -1,14 +1,14 @@
 """PBE baseline (SIGMOD'20): GPU subgraph enumeration on partitioned graphs.
 
-BFS order over a P-way partitioned adjacency: every extension consults all
-partitions and reshuffles the intermediate (the cross-partition
-communication the paper blames for PBE being 3.8x slower than Pangolin),
-no orientation, block-streamed intermediates so it never OoMs — it
-handles every graph but times out on the hardest cells (Tw4 4-CL).
+The BFS engine's partitioned setting: BFS order over a P-way partitioned
+adjacency, where every extension consults all partitions and reshuffles
+the intermediate (the cross-partition communication the paper blames for
+PBE being 3.8x slower than Pangolin), no orientation, block-streamed
+intermediates so it never OoMs — it handles every graph but times out on
+the hardest cells (Tw4 4-CL). GPU memory budget.
 
 PBE is a subgraph-matching solver: no k-MC, no FSM (paper SS8).
 """
-from repro import memory as memmod
 from repro.core.engine_bfs import BFSConfig, BFSEngine
 from repro.systems.base import System, register
 
@@ -18,22 +18,13 @@ ADJ_PARTITIONS = 2
 
 
 def make_engine() -> BFSEngine:
-    return BFSEngine(
-        BFSConfig(
-            materialize=False,
-            adj_partitions=ADJ_PARTITIONS,
-            orientation=False,
-            memory_budget=memmod.GPU_MEM_BYTES,
-        )
-    )
+    return BFSEngine(BFSConfig(adj_partitions=ADJ_PARTITIONS))
 
 
 SYSTEM = register(
     System(
         name="PBE",
-        kind="bfs",
         make_engine=make_engine,
         supports=frozenset({"tc", "kcl", "sl"}),
-        platform="GPU",
     )
 )

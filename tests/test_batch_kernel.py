@@ -44,12 +44,11 @@ def tiny(name):
 
 def edge_run(g, p, induced):
     """The graph, plan and task edgelist an edge-mode run searches."""
-    eng = DFSEngine(DFSConfig())
     if p.is_clique():
         g, plan = g.orient(), oriented_clique_plan(p.k)
     else:
         plan = build_plan(p, induced=induced)
-    tasks, reduced = eng._edge_tasks(g, plan)
+    tasks, reduced = DFSEngine._edge_tasks(g, plan)
     return g, plan, tasks, reduced
 
 
@@ -75,13 +74,13 @@ def test_batch_count_equals_per_task_kernel(name, p, induced):
 @pytest.mark.parametrize("p,induced", EI + VI, ids=IDS)
 def test_batched_engine_matches_oracle(spark, g, p, induced, budget):
     """Every clique size runs the batched oriented kernel."""
-    cfg = DFSConfig(memory_budget=BIG)
+    limit = BIG
     if budget == "tight":
         gg, plan, tasks, _ = edge_run(g, p, induced)
-        per = (plan.k + 1) * 8 * cfg.num_partitions
-        cfg.memory_budget = gg.nbytes() + tasks.nbytes + TINY_STEP * per
-    meter = memmod.MemoryMeter(cfg.memory_budget)
-    df = DFSEngine(cfg).count_df(spark, g, p, induced=induced, meter=meter)
+        per = (plan.k + 1) * 8 * DFSConfig.num_partitions
+        limit = gg.nbytes() + tasks.nbytes + TINY_STEP * per
+    meter = memmod.MemoryMeter(limit)
+    df = DFSEngine().count_df(spark, g, p, induced=induced, meter=meter)
     sql = codegen.pattern_sql(build_plan(p, induced=induced))
     assert_equivalent(df, sql, adj=adj_pdf("tiny_skew"))
     assert meter.resident == 0
@@ -100,10 +99,10 @@ def test_unreduced_edgelist_guard(spark, g, p, induced):
     if plan.first_edge_reduced():
         red = batch_count(plan, g.indptr, keys, g.edge_tasks("lt"), MAX_STEP)
         assert full[0] == red[0]
-    eng = DFSEngine(DFSConfig(orientation=False, memory_budget=BIG))
-    df = eng.count_df(spark, g, p, induced=induced)
+    eng, meter = DFSEngine(), memmod.MemoryMeter(BIG)
+    df = eng.count_df(spark, g, p, induced=induced, meter=meter)
     assert_equivalent(df, codegen.pattern_sql(plan), adj=adj_pdf("tiny_skew"))
-    assert eng.count(spark, g, p, induced=induced) == full[0]
+    assert eng.count(spark, g, p, induced=induced, meter=meter) == full[0]
 
 
 @pytest.mark.parametrize("p", [diamond(), star(3)], ids=lambda p: p.name)
@@ -192,8 +191,8 @@ def test_edge_mode_rejects_python_setops():
 
 
 def test_frontier_step_sized_from_free_bytes():
-    eng = DFSEngine(DFSConfig())
-    per = 5 * 8 * eng.cfg.num_partitions
+    eng = DFSEngine()
+    per = 5 * 8 * DFSConfig.num_partitions
     meter = memmod.MemoryMeter(1000 + 37 * per + 3)
     meter.alloc("csr", 1000)
     assert eng._frontier_step(meter, 4) == 37

@@ -3,11 +3,12 @@ direct enumeration, and the auto-derived conversion matrix must be exact."""
 import numpy as np
 import pytest
 
+from repro import memory as memmod
 from repro.core import codegen, counting
 from repro.core.counting import MOTIF4_NAMES, conversion_matrix
-from repro.core.engine_dfs import DFSConfig, DFSEngine
+from repro.core.engine_dfs import DFSEngine
 from repro.core.motifs import count_motifs
-from repro.core.pattern import clique, diamond, motifs
+from repro.core.pattern import clique, diamond
 from repro.core.plan import build_plan
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
@@ -20,11 +21,6 @@ BIG = 1 << 40
 def g():
     e, _ = generate_graph("tiny_dense")
     return build_csr(e)
-
-
-@pytest.fixture(scope="module")
-def engine():
-    return DFSEngine(DFSConfig(memory_budget=BIG))
 
 
 # -- conversion matrix ---------------------------------------------------
@@ -52,9 +48,9 @@ def test_matrix_known_entries():
 
 # -- decomposed counts vs direct enumeration -----------------------------
 
-def test_count3_counting_only_equals_enumeration(spark, g, engine):
-    fast = counting.count3_counting_only(spark, g, engine=engine)
-    slow = count_motifs(spark, g, 3, DFSEngine(DFSConfig(memory_budget=BIG)))
+def test_count3_counting_only_equals_enumeration(spark, g):
+    fast = counting.count3_counting_only(spark, g)
+    slow = count_motifs(spark, g, 3, DFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert fast == slow
 
 
@@ -62,9 +58,8 @@ def test_count3_counting_only_equals_enumeration(spark, g, engine):
 def test_count4_counting_only_equals_enumeration(spark, name):
     e, _ = generate_graph(name)
     gg = build_csr(e)
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
-    fast = counting.count4_counting_only(spark, gg, engine=eng)
-    slow = count_motifs(spark, gg, 4, DFSEngine(DFSConfig(memory_budget=BIG)))
+    fast = counting.count4_counting_only(spark, gg)
+    slow = count_motifs(spark, gg, 4, DFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert fast == slow
 
 
@@ -77,9 +72,9 @@ def test_diamond_counting_only_matches_oracle(spark, g):
     assert_equivalent(df, sql, adj=adj_pdf("tiny_dense"))
 
 
-def test_diamond_counting_only_equals_dfs(spark, g, engine):
-    assert counting.diamond_counting_only(spark, g) == engine.count(
-        spark, g, diamond()
+def test_diamond_counting_only_equals_dfs(spark, g):
+    assert counting.diamond_counting_only(spark, g) == DFSEngine().count(
+        spark, g, diamond(), meter=memmod.MemoryMeter(BIG)
     )
 
 
@@ -89,9 +84,9 @@ def test_python_backend_stats_agree(spark, g):
     assert a == b
 
 
-def test_edge_triangle_stats_T_matches_tc(spark, g, engine):
+def test_edge_triangle_stats_T_matches_tc(spark, g):
     stats = counting.edge_triangle_stats(spark, g)
-    assert stats["T"] == engine.count(spark, g, clique(3))
+    assert stats["T"] == DFSEngine().count(spark, g, clique(3), meter=memmod.MemoryMeter(BIG))
 
 
 def test_stats_keys(spark, g):

@@ -4,7 +4,7 @@ equal to the independently generated SQL executed by DuckDB (via
 import pytest
 
 from repro import memory as memmod
-from repro.core import codegen
+from repro.core import codegen, engine_dfs
 from repro.core.engine_dfs import DFSConfig, DFSEngine, oriented_clique_plan
 from repro.core.pattern import clique, cycle, diamond, motifs, path
 from repro.core.plan import build_plan
@@ -27,7 +27,7 @@ def adj():
 
 
 def check(spark, g, adj, engine, pattern, induced=False):
-    df = engine.count_df(spark, g, pattern, induced=induced)
+    df = engine.count_df(spark, g, pattern, induced=induced, meter=memmod.MemoryMeter(BIG))
     sql = codegen.pattern_sql(build_plan(pattern, induced=induced))
     assert_equivalent(df, sql, adj=adj)
 
@@ -40,57 +40,57 @@ VI = [(p, True) for p in motifs(3) + motifs(4)]
 @pytest.mark.parametrize("p,induced", EI + VI,
                          ids=[f"{p.name}-{'vi' if i else 'ei'}" for p, i in EI + VI])
 def test_default_engine_matches_oracle(spark, g, adj, p, induced):
-    check(spark, g, adj, DFSEngine(DFSConfig(memory_budget=BIG)), p, induced)
+    check(spark, g, adj, DFSEngine(), p, induced)
 
 
 @pytest.mark.parametrize("p", [clique(3), clique(4), diamond()], ids=lambda p: p.name)
 def test_vertex_parallel_matches_oracle(spark, g, adj, p):
-    eng = DFSEngine(DFSConfig(parallelism="vertex", memory_budget=BIG))
+    eng = DFSEngine(DFSConfig(parallelism="vertex"))
     check(spark, g, adj, eng, p)
 
 
 @pytest.mark.parametrize("p", [clique(3), diamond()], ids=lambda p: p.name)
 def test_python_backend_matches_oracle(spark, g, adj, p):
-    eng = DFSEngine(
-        DFSConfig(parallelism="vertex", setops="python", orientation=False,
-                  memory_budget=BIG)
-    )
+    eng = DFSEngine(DFSConfig(parallelism="vertex", setops="python"))
     check(spark, g, adj, eng, p)
 
 
-def test_orientation_off_matches(spark, g, adj):
-    eng = DFSEngine(DFSConfig(orientation=False, memory_budget=BIG))
-    check(spark, g, adj, eng, clique(4))
-
-
-def test_no_chunked_schedule_matches(spark, g):
-    a = DFSEngine(DFSConfig(chunked_schedule=False, memory_budget=BIG))
-    b = DFSEngine(DFSConfig(chunked_schedule=True, memory_budget=BIG))
-    assert a.count(spark, g, clique(3)) == b.count(spark, g, clique(3))
+def test_vertex_fallback_keeps_g2miner_schedule(spark, g, monkeypatch):
+    """When the unreduced edgelist does not fit, G2Miner falls back to
+    vertex tasks (SS5.1) and keeps its chunked round-robin order."""
+    p = path(3)
+    assert not build_plan(p, induced=True).first_edge_reduced()
+    orders = []
+    real = engine_dfs.chunked_round_robin_order
+    monkeypatch.setattr(engine_dfs, "chunked_round_robin_order",
+                        lambda m, bins, chunk: orders.append(m) or real(m, bins, chunk=chunk))
+    meter = memmod.MemoryMeter(g.nbytes() + g.edge_tasks("all").nbytes - 1)
+    got = DFSEngine().count(spark, g, p, induced=True, meter=meter)
+    assert orders == [g.n]  # vertex tasks, in chunked round-robin order
+    assert got == DFSEngine(DFSConfig(parallelism="vertex")).count(spark, g, p, induced=True)
+    assert orders == [g.n]  # the CPU setting keeps natural order
 
 
 def test_oom_raised_on_tiny_budget(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=64))
     with pytest.raises(memmod.OutOfMemoryError):
-        eng.count(spark, g, clique(3))
+        DFSEngine().count(spark, g, clique(3), meter=memmod.MemoryMeter(64))
 
 
 def test_meter_released_after_run(spark, g):
     meter = memmod.MemoryMeter(BIG)
-    DFSEngine(DFSConfig()).count(spark, g, clique(3), meter=meter)
+    DFSEngine().count(spark, g, clique(3), meter=meter)
     assert meter.resident == 0
     assert meter.peak > 0
 
 
 def test_last_ops_populated(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
-    eng.count(spark, g, clique(3))
+    eng = DFSEngine()
+    eng.count(spark, g, clique(3), meter=memmod.MemoryMeter(BIG))
     assert eng.last_ops > 0
 
 
 def test_per_task_costs_shape(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
-    costs = eng.per_task_costs(spark, g, clique(3))
+    costs = DFSEngine().per_task_costs(spark, g, clique(3))
     assert len(costs) == g.num_edges
     assert (costs >= 1).all()
 
@@ -103,6 +103,6 @@ def test_oriented_clique_plan_structure():
 
 
 def test_count_df_schema(spark, g):
-    df = DFSEngine(DFSConfig(memory_budget=BIG)).count_df(spark, g, clique(3))
+    df = DFSEngine().count_df(spark, g, clique(3), meter=memmod.MemoryMeter(BIG))
     assert df.columns == ["cnt"]
     assert df.count() == 1

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro import harness, paper_numbers as paper
+from repro.core import counting
 from repro.graph import gen
 from repro.harness import fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern
 from repro.timeout import CellResult
@@ -64,6 +65,37 @@ def test_run_cell_counting(spark):
     assert r.status == "ok"
 
 
+@pytest.mark.parametrize("system,scalar", [("Peregrine", True), ("G2Miner", False)])
+def test_counting_sweep_follows_engine_setops(spark, monkeypatch, system, scalar):
+    """The counting-only sweep runs the system engine's set-op backend:
+    Peregrine's scalar loop, G2Miner's batched code."""
+    calls = []
+    real = counting._stats_scalar
+    monkeypatch.setattr(counting, "_stats_scalar",
+                        lambda *a: calls.append(a[0]) or real(*a))
+    # Run each device's slice on the driver, where the counter lives.
+    monkeypatch.setattr(counting, "run_slices",
+                        lambda spark, graph, tasks, worker: worker(graph, tasks))
+    r = run_cell(spark, system, ("counting", "diamond"), "tiny", timeout_s=60)
+    assert r.status == "ok"
+    assert r.value == run_cell(spark, "GraphZero", ("sl", "diamond"), "tiny").value
+    assert calls == (["python"] if scalar else [])
+
+
+def load_bench_common():
+    spec = importlib.util.spec_from_file_location("_bench_common", BENCH_COMMON)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+class Benchmark:
+    """pytest-benchmark's ``pedantic`` without the timing."""
+
+    def pedantic(self, fn, rounds, iterations):
+        return fn()
+
+
 def test_unsupported_workload_is_na(spark):
     r = run_cell(spark, "PBE", ("mc", 3), "tiny")
     assert r.status == "n/a"
@@ -86,14 +118,7 @@ def test_run_table_and_bench_cell_rows_agree(monkeypatch):
     """The jobs' frame and the benchmark CSVs build a cell's row one way."""
     result = CellResult(status="ok", value={"wedge": 5, "triangle": 2}, seconds=1.23456)
     monkeypatch.setattr(harness, "run_cell", lambda *a, **kw: result)
-    spec = importlib.util.spec_from_file_location("_bench_common", BENCH_COMMON)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    class Benchmark:
-        def pedantic(self, fn, rounds, iterations):
-            return fn()
-
+    bench = load_bench_common()
     recorded = []
     bench.bench_cell(None, Benchmark(), lambda table, row: recorded.append(row),
                      "table7", paper.TABLE7, "G2Miner", ("mc", 3), "Lj", timeout_s=1)
@@ -102,6 +127,33 @@ def test_run_table_and_bench_cell_rows_agree(monkeypatch):
     assert row.pop("paper") == paper.TABLE7["G2Miner"][(3, "Lj")]
     assert df.to_dict("records") == [row]
     assert row["value"] == 7 and row["workload"] == "mc/3" and row["seconds"] == 1.235
+
+
+def test_bench_fails_when_finished_systems_disagree(monkeypatch):
+    """Systems that finish the same cell must report the same value (a
+    motif table compared whole); OoM and TO cells are not compared."""
+    results = {
+        ("G2Miner", "Lj"): CellResult(status="ok", value={"wedge": 5, "triangle": 2}),
+        ("Pangolin", "Lj"): CellResult(status="OoM"),
+        ("Peregrine", "Lj"): CellResult(status="TO"),
+        ("GraphZero", "Lj"): CellResult(status="ok", value={"wedge": 5, "triangle": 2}),
+        # The two Or tables have the same sum but different motifs.
+        ("G2Miner", "Or"): CellResult(status="ok", value={"wedge": 9, "triangle": 1}),
+        ("GraphZero", "Or"): CellResult(status="ok", value={"wedge": 8, "triangle": 2}),
+    }
+    monkeypatch.setattr(harness, "run_cell",
+                        lambda spark, s, w, g, **kw: results[(s, g)])
+    bench = load_bench_common()
+
+    def cell(system, graph):
+        bench.bench_cell(None, Benchmark(), lambda table, row: None, "table7",
+                         paper.TABLE7, system, ("mc", 3), graph, timeout_s=1)
+
+    for system in ("G2Miner", "Pangolin", "Peregrine", "GraphZero"):
+        cell(system, "Lj")
+    cell("G2Miner", "Or")
+    with pytest.raises(AssertionError, match="GraphZero and G2Miner disagree"):
+        cell("GraphZero", "Or")
 
 
 def test_fmt_helpers():

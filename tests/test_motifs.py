@@ -5,9 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro import memory as memmod
 from repro.core import codegen
-from repro.core.engine_bfs import BFSConfig, BFSEngine
-from repro.core.engine_dfs import DFSConfig, DFSEngine
+from repro.core.engine_bfs import BFSEngine
+from repro.core.engine_dfs import DFSEngine
 from repro.core.motifs import count_motifs
 from repro.core.pattern import motifs
 from repro.core.plan import build_plan
@@ -46,15 +47,13 @@ def brute_connected_subsets(g, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_motif_counts_partition_connected_subsets(spark, g, k):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
-    out = count_motifs(spark, g, k, eng)
+    out = count_motifs(spark, g, k, DFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert len(out) == (2 if k == 3 else 6)
     assert sum(out.values()) == brute_connected_subsets(g, k)
 
 
 def test_motif_names_match_fig3(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
-    out = count_motifs(spark, g, 4, eng)
+    out = count_motifs(spark, g, 4, DFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert set(out) == {
         "4-path", "3-star", "tailed-triangle", "4-cycle", "diamond", "4-clique"
     }
@@ -62,15 +61,15 @@ def test_motif_names_match_fig3(spark, g):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_motifs_bfs_equals_dfs(spark, g, k):
-    dfs = count_motifs(spark, g, k, DFSEngine(DFSConfig(memory_budget=BIG)))
-    bfs = count_motifs(spark, g, k, BFSEngine(BFSConfig(memory_budget=BIG)))
+    dfs = count_motifs(spark, g, k, DFSEngine(), meter=memmod.MemoryMeter(BIG))
+    bfs = count_motifs(spark, g, k, BFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert dfs == bfs
 
 
 def test_each_motif_matches_oracle(spark, g):
-    eng = DFSEngine(DFSConfig(memory_budget=BIG))
+    eng = DFSEngine()
     adj = adj_pdf("tiny")
     for p in motifs(3):
-        df = eng.count_df(spark, g, p, induced=True)
+        df = eng.count_df(spark, g, p, induced=True, meter=memmod.MemoryMeter(BIG))
         sql = codegen.pattern_sql(build_plan(p, induced=True))
         assert_equivalent(df, sql, adj=adj)

@@ -1,11 +1,19 @@
 """System-facade tests: the registry must encode the paper's Table 1, and
 all systems must agree on counts (they differ only in how, not what)."""
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro import memory as memmod
+from repro.core.engine_bfs import BFSConfig
+from repro.core.engine_dfs import DFSConfig
 from repro.core.pattern import clique, cycle, diamond
-from repro.graph.csr import build_csr
+from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.gen import generate_graph
-from repro.systems import SYSTEMS
+from repro.systems import SYSTEMS, System
+
+GPU, CPU = memmod.GPU_MEM_BYTES, memmod.CPU_MEM_BYTES
 
 ALL = ["G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero", "DistGraph"]
 
@@ -36,14 +44,6 @@ def test_support_matrix_matches_paper(name, workload, supported):
     assert (workload in SYSTEMS[name].supports) == supported
 
 
-def test_platforms():
-    assert SYSTEMS["G2Miner"].platform == "GPU"
-    assert SYSTEMS["Pangolin"].platform == "GPU"
-    assert SYSTEMS["PBE"].platform == "GPU"
-    assert SYSTEMS["Peregrine"].platform == "CPU"
-    assert SYSTEMS["GraphZero"].platform == "CPU"
-
-
 def test_fsm_variants_wired():
     assert SYSTEMS["G2Miner"].fsm_variant == "g2miner"
     assert SYSTEMS["Pangolin"].fsm_variant == "pangolin"
@@ -67,15 +67,49 @@ def test_all_systems_agree_on_counts(spark, p):
     counts = {}
     for name in ["G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero"]:
         eng = SYSTEMS[name].make_engine()
-        eng.cfg.memory_budget = 1 << 40
-        counts[name] = eng.count(spark, g, p)
+        counts[name] = eng.count(spark, g, p, meter=memmod.MemoryMeter(1 << 40))
     assert len(set(counts.values())) == 1, counts
 
 
 def test_g2miner_uses_gpu_budget():
-    from repro import memory as memmod
+    assert SYSTEMS["G2Miner"].make_engine().budget == GPU
+    assert SYSTEMS["Peregrine"].make_engine().budget == CPU
 
-    eng = SYSTEMS["G2Miner"].make_engine()
-    assert eng.cfg.memory_budget == memmod.GPU_MEM_BYTES
-    eng = SYSTEMS["Peregrine"].make_engine()
-    assert eng.cfg.memory_budget == memmod.CPU_MEM_BYTES
+
+# -- each system is one engine setting; the rest follows from it ---------
+
+def test_settable_values():
+    assert len(dataclasses.fields(DFSConfig)) == 2
+    assert len(dataclasses.fields(BFSConfig)) == 1
+    assert len(dataclasses.fields(System)) == 4
+
+
+@pytest.mark.parametrize("name,budget", [
+    ("G2Miner", GPU), ("GraphZero", CPU), ("Peregrine", CPU),
+    ("Pangolin", GPU), ("PBE", GPU),
+])
+def test_default_budget(name, budget):
+    assert SYSTEMS[name].make_engine().budget == budget
+
+
+@pytest.mark.parametrize("name,permutes", [
+    ("G2Miner", True), ("GraphZero", False), ("Peregrine", False),
+])
+def test_chunked_schedule_is_g2miners(name, permutes):
+    tasks = np.arange(1000)
+    out = SYSTEMS[name].make_engine()._schedule(tasks)
+    assert sorted(out.tolist()) == tasks.tolist()
+    assert (not np.array_equal(out, tasks)) == permutes
+
+
+@pytest.mark.parametrize("name,orients", [
+    ("G2Miner", True), ("GraphZero", False), ("Peregrine", False),
+    ("Pangolin", True), ("PBE", False),
+])
+def test_clique_orientation(spark, monkeypatch, name, orients):
+    calls = []
+    real = CSRGraph.orient
+    monkeypatch.setattr(CSRGraph, "orient", lambda g: calls.append(g) or real(g))
+    g = build_csr(generate_graph("tiny")[0])
+    SYSTEMS[name].make_engine().count(spark, g, clique(3), meter=memmod.MemoryMeter(1 << 40))
+    assert bool(calls) == orients
