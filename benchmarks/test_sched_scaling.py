@@ -12,8 +12,8 @@ from repro.sched.policies import simulate
 
 
 @pytest.fixture(scope="module")
-def costs(spark):
-    return DFSEngine().per_task_costs(spark, get_csr("Tw2"), clique(3))
+def costs():
+    return DFSEngine().per_task_costs(get_csr("Tw2"), clique(3))
 
 
 @pytest.mark.parametrize("policy", ["even_split", "chunked_rr"])

@@ -3,31 +3,34 @@
 Execution model (the warp-centric two-level parallelism of SS5.1, ported to
 the Spark dataflow model):
 
-- *Tasks* are edges (G2Miner) or root vertices (CPU systems): a numpy
-  task array, broadcast once with the graph. ``run_slices`` gives
-  each Spark partition one contiguous slice of it: one Spark task = one
-  "GPU".
-- Edge mode runs the *batched kernel* (``batch_count``) over the device's
+- *Tasks* are edges or root vertices: a numpy task array, broadcast once
+  with the graph. ``run_slices`` gives each Spark partition one
+  contiguous slice of it: one Spark task = one "GPU".
+- G2Miner runs one *batched kernel* (``batch_count``) over the device's
   whole slice, one pattern level at a time: an expansion step over the
   slice is the set of warps, each candidate check one warp lane's work.
   Level-at-a-time inside a slice is the bounded BFS of opt M, and the step
   is sized from the device-memory ledger (opt K); across steps the search
   stays depth first. Membership is a ``searchsorted`` into the row-major
-  edge keys ``u*n+v``, broadcast in place of the neighbour indices.
-- Vertex mode (the CPU systems' documented strategy) runs the pattern's
-  *generated kernel* (codegen.py) task by task with that system's set-op
-  backend.
+  edge keys ``u*n+v``, broadcast in place of the neighbour indices. Its
+  tasks are the edgelist Omega, reduced (opt J) when the symmetry order
+  covers (v0, v1); when Omega would not fit the device budget next to the
+  graph, they are the root vertices and Omega is never kept (the
+  vertex-parallel mode of SS5.1).
+- The CPU systems run the pattern's *generated kernel* (codegen.py) root
+  vertex by root vertex with that system's set-op backend, their
+  documented strategy.
 - G2Miner's cliques of every size run on the oriented graph (opt A) with
-  ``oriented_clique_plan``, in edge mode on DAG-edge tasks: each level's
-  candidates come from the intersection of the earlier
-  out-neighbourhoods, a search inside the (v0, v1) local graph (the role
-  of the paper's LGS, opt E) with membership tested on the sorted edge
-  keys in place of a dense bitmap (opt F).
+  ``oriented_clique_plan`` on DAG-edge tasks: each level's candidates come
+  from the intersection of the earlier out-neighbourhoods, a search inside
+  the (v0, v1) local graph (the role of the paper's LGS, opt E) with
+  membership tested on the sorted edge keys in place of a dense bitmap
+  (opt F).
 
 ``DFSConfig.parallelism`` picks the whole bundle. ``"edge"`` is G2Miner on
-the GPU: orientation for cliques, tasks pre-permuted with the chunked
-round-robin order (SS7.1 policy 3) and the GPU budget, kept when a run
-falls back to vertex tasks. ``"vertex"`` is the CPU systems: no
+the GPU: the batched kernel, orientation for cliques, tasks pre-permuted
+with the chunked round-robin order (SS7.1 policy 3) and the GPU budget.
+``"vertex"`` is the CPU systems: the generated kernel on vertex tasks, no
 orientation, tasks in natural order and the host budget.
 
 The engine accounts all materialised state against a device-memory budget
@@ -62,7 +65,10 @@ class DFSConfig:
     module docstring).
     """
 
-    parallelism: str = "edge"  # 'edge' (G2Miner) | 'vertex' (CPU systems)
+    #: 'edge' (G2Miner: the batched kernel on edge tasks, or on root
+    #: vertices when Omega does not fit) | 'vertex' (CPU systems: the
+    #: generated kernel on root vertices)
+    parallelism: str = "edge"
     setops: str = "numpy"  # 'numpy' (SIMD/warp analog) | 'python' (scalar)
     #: Concurrent devices the chunked round-robin order and the buffer
     #: charges assume. Fixed, so the ledger does not depend on the host.
@@ -95,7 +101,7 @@ def oriented_clique_plan(k: int) -> SearchPlan:
     )
 
 
-# -- batched edge kernel (G2Miner edge mode) -----------------------------
+# -- batched kernel (G2Miner) --------------------------------------------
 
 #: Most candidates one batched expansion may hold: the cap on the frontier
 #: step that opt K sizes from the ledger (``buffer_step``).
@@ -161,10 +167,13 @@ def batch_count(
     keys: np.ndarray,
     tasks: np.ndarray,
     step: int,
-    *,
-    reduced: bool = True,
 ) -> tuple[int, int]:
-    """Count ``plan``'s matches rooted at a slice of edge tasks.
+    """Count ``plan``'s matches rooted at a slice of tasks.
+
+    ``tasks`` are the first rows of the search: a 1-D array of root
+    vertices (the vertex-parallel mode of SS5.1, where level 1 expands
+    ``N(v0)``), or an ``(m, 2)`` edgelist that already meets level 1's
+    bounds (``DFSEngine._edge_tasks``).
 
     Level at a time over the whole slice (opt M's bounded BFS): level i
     expands the neighbours of ``conn[i][0]`` that ``upper``/``lower``
@@ -172,21 +181,13 @@ def batch_count(
     checks the other ``conn`` members (and the ``anti`` members of a
     vertex-induced plan) with one ``searchsorted`` each; the leaf sums
     the mask, or counts pairs when ``plan.leaf_reuse()``. Across steps the
-    search stays depth first. ``reduced=False`` says the task edgelist was
-    not reduced (opt J), so level 1's bounds mask the tasks.
+    search stays depth first.
 
     Returns ``(count, touches)``; touches counts candidate checks.
     """
     n = len(indptr) - 1
-    cols = [tasks[:, 0], tasks[:, 1]]
-    if not reduced:
-        keep = np.ones(len(tasks), dtype=bool)
-        for j in plan.upper[1]:
-            keep &= cols[1] < cols[j]
-        for j in plan.lower[1]:
-            keep &= cols[1] > cols[j]
-        cols = [c[keep] for c in cols]
-    if plan.k == 2:
+    cols = [tasks] if tasks.ndim == 1 else [tasks[:, 0], tasks[:, 1]]
+    if len(cols) == plan.k:
         return len(cols[0]), 0
     reuse = plan.leaf_reuse()
     last = plan.k - 2 if reuse else plan.k - 1
@@ -229,14 +230,14 @@ def batch_count(
                 total += len(cand)
         return total
 
-    return level(cols, 2), touches
+    return level(cols, len(cols)), touches
 
 
 # -- per-device workers: (graph, task slice) -> (cnt, ops) ----------------
 
-def _batch_worker(plan: SearchPlan, step: int, reduced: bool, graph, tasks):
+def _batch_worker(plan: SearchPlan, step: int, graph, tasks):
     indptr, keys = graph
-    return batch_count(plan, indptr, keys, tasks, step, reduced=reduced)
+    return batch_count(plan, indptr, keys, tasks, step)
 
 
 def _vertex_worker(kernel_src: str, backend: str, graph, tasks):
@@ -330,25 +331,21 @@ class DFSEngine:
                 if use_orient
                 else build_plan(pattern, induced=induced)
             )
-            use_edge = self._gpu and plan.edge_parallel_ok()
-            if use_edge:
+            if self._gpu:
+                tasks = self._edge_tasks(g, plan)
                 # Input-aware Omega management (SS5.1 + SS7.2): when the
                 # symmetry order does not cover (v0, v1) the edgelist
                 # cannot be reduced, and a full Omega may not fit the
                 # device budget next to G. The paper's escape hatch is the
                 # vertex-parallel mode, "in which case Omega is not
-                # generated to save memory" — take it automatically.
-                probe, _ = self._edge_tasks(g, plan)
-                if meter.resident + probe.nbytes > meter.budget:
-                    use_edge = False
-            if use_edge:
-                tasks, reduced = self._edge_tasks(g, plan)
+                # generated to save memory": the same kernel on root tasks.
+                if meter.resident + tasks.nbytes > meter.budget:
+                    tasks = np.arange(g.n, dtype=np.int64)
                 meter.alloc("tasks", tasks.nbytes)
                 step = self._frontier_step(meter, plan.k)
-                tasks = self._schedule(tasks)
                 # The keys replace indices: the same bytes as the "csr" charge.
                 graph = (g.indptr, edge_keys(g))
-                worker = partial(_batch_worker, plan, step, reduced)
+                worker = partial(_batch_worker, plan, step)
             else:
                 tasks = np.arange(g.n, dtype=np.int64)
                 kernel_src = codegen.kernel_source(plan, "vertex")
@@ -359,10 +356,9 @@ class DFSEngine:
                     "buffers",
                     plan.num_buffers() * g.max_degree * 8 * DFSConfig.num_partitions,
                 )
-                tasks = self._schedule(tasks)
                 graph = (g.indptr, g.indices)
                 worker = partial(_vertex_worker, kernel_src, self.cfg.setops)
-            cnt, ops = run_slices(spark, graph, tasks, worker)
+            cnt, ops = run_slices(spark, graph, self._schedule(tasks), worker)
             self.last_ops = ops
             return cnt
         finally:
@@ -379,14 +375,13 @@ class DFSEngine:
     # -- internals -------------------------------------------------------
 
     @staticmethod
-    def _edge_tasks(g: CSRGraph, plan: SearchPlan) -> tuple[np.ndarray, bool]:
-        """Task edgelist Omega with edgelist reduction (opt J) when the
-        symmetry order covers (v0, v1). Returns (tasks, reduced?)."""
-        if g.directed:
-            return g.edge_tasks("all"), True
+    def _edge_tasks(g: CSRGraph, plan: SearchPlan) -> np.ndarray:
+        """Task edgelist Omega, reduced (opt J) to the direction that level
+        1's symmetry bound keeps when the symmetry order covers (v0, v1).
+        An oriented graph's DAG edges already are a reduced list."""
         if not plan.first_edge_reduced():
-            return g.edge_tasks("all"), False
-        return g.edge_tasks("lt" if (0, 1) in plan.sym else "gt"), True
+            return g.edge_tasks("all")
+        return g.edge_tasks("lt" if (0, 1) in plan.sym else "gt")
 
     @staticmethod
     def _frontier_step(meter: memmod.MemoryMeter, k: int) -> int:
@@ -404,13 +399,13 @@ class DFSEngine:
         return tasks[perm]
 
     def per_task_costs(
-        self, spark: SparkSession, csr: CSRGraph, pattern: Pattern, *, induced: bool = False
+        self, csr: CSRGraph, pattern: Pattern, *, induced: bool = False
     ) -> np.ndarray:
         """Measured per-edge-task work (set-op element touches) — the input
         the multi-GPU scheduling simulation uses (Fig 9/10 substance)."""
         plan = build_plan(pattern, induced=induced)
         kernel = codegen.compile_kernel(plan, "edge", assume_reduced=True)
-        tasks, _ = self._edge_tasks(csr, plan)
+        tasks = self._edge_tasks(csr, plan)
         ops = BACKENDS["numpy"]
         costs = np.zeros(len(tasks), dtype=np.int64)
         indptr, indices = csr.indptr, csr.indices

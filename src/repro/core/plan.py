@@ -57,11 +57,6 @@ class SearchPlan:
     def num_automorphisms(self) -> int:
         return len(self.pattern.automorphisms())
 
-    def edge_parallel_ok(self) -> bool:
-        """Edge parallelism needs the first two positions to be a pattern
-        edge (they always are for a connected matching order)."""
-        return self.pattern.has_edge(0, 1)
-
     def first_edge_reduced(self) -> bool:
         """True iff the symmetry order constrains v0 vs v1 — enabling
         edgelist reduction (opt J, SS7.2(2))."""

@@ -3,18 +3,16 @@
 ``CSRGraph`` is the broadcast-friendly substrate every engine searches over:
 plain numpy arrays (indptr/indices), neighbor lists sorted ascending (the
 paper sorts them to enable early exit / bounded search), plus the input
-information G2Miner's loader extracts (|V|, |E|, max degree Delta, label
-frequencies).
+information G2Miner's loader extracts (|V|, |E|, max degree Delta).
 
 Preprocessing ports:
 
 - ``orient``      — *orientation* (opt A): convert the undirected graph into
                     a DAG by (degree, id) order; halves the edges, shrinks
                     Delta, removes on-the-fly symmetry checks for cliques.
-- ``rename_by_degree`` — sorting/renaming vertices (SS4.2 / SS8.4).
-- ``reduced_edge_tasks`` — *edgelist reduction* (opt J): when the symmetry
-                    order includes v0 > v1, keep one instance per
-                    undirected edge.
+- ``edge_tasks``  — the task edgelist, with *edgelist reduction* (opt J):
+                    when the symmetry order covers (v0, v1), keep one
+                    instance per undirected edge.
 """
 from __future__ import annotations
 
@@ -66,13 +64,6 @@ class CSRGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def label_frequency(self) -> dict[int, int]:
-        """Vertex frequency of each label (used by FSM opt N)."""
-        if self.labels is None:
-            return {}
-        vals, cnt = np.unique(self.labels, return_counts=True)
-        return dict(zip(vals.tolist(), cnt.tolist()))
-
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
@@ -106,23 +97,6 @@ class CSRGraph:
             directed=True,
             symmetrize=False,
             orient_rank=rank,
-        )
-
-    def rename_by_degree(self) -> "CSRGraph":
-        """Renaming/sorting (SS4.2): relabel vertices by descending degree so
-        hub vertices get small, contiguous ids (locality/load-balance)."""
-        if self.directed:
-            raise ValueError("rename before orientation")
-        order = np.lexsort((np.arange(self.n), -self.degrees))
-        new_id = np.empty(self.n, dtype=np.int64)
-        new_id[order] = np.arange(self.n)
-        deg = self.degrees
-        src = new_id[np.repeat(np.arange(self.n), deg)]
-        dst = new_id[self.indices]
-        lab = self.labels[order] if self.labels is not None else None
-        keep = src < dst
-        return build_csr(
-            np.stack([src[keep], dst[keep]], axis=1), n=self.n, labels=lab
         )
 
     def edge_tasks(self, mode: str = "all") -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Batched edge kernel tests (G2Miner edge mode).
+"""Batched kernel tests (G2Miner).
 
-The batched kernel must count exactly what the per-task generated kernel
-counts (the reference it replaced) and what DuckDB counts on the generated
-pattern SQL, whatever the frontier step: under a budget so small that
-every batch splits many times as well as under an unbounded one.
+The batched kernel must count exactly what the generated kernel counts
+(the per-edge form on edge tasks, the per-vertex form on root vertices)
+and what DuckDB counts on the generated pattern SQL, whatever the
+frontier step: under a budget so small that every batch splits many times
+as well as under an unbounded one.
 """
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repro.core.engine_dfs import (
     MAX_STEP, DFSConfig, DFSEngine, batch_count, edge_keys, oriented_clique_plan,
     run_slices,
 )
-from repro.core.pattern import clique, cycle, diamond, motifs, path, star
+from repro.core.pattern import clique, cycle, diamond, motifs, path, star, tailed_triangle
 from repro.core.plan import build_plan
 from repro.core.setops import BACKENDS, Counter
 from repro.graph.csr import build_csr
@@ -43,29 +44,36 @@ def tiny(name):
 
 
 def edge_run(g, p, induced):
-    """The graph, plan and task edgelist an edge-mode run searches."""
+    """The graph, plan and task edgelist a G2Miner run searches."""
     if p.is_clique():
         g, plan = g.orient(), oriented_clique_plan(p.k)
     else:
         plan = build_plan(p, induced=induced)
-    tasks, reduced = DFSEngine._edge_tasks(g, plan)
-    return g, plan, tasks, reduced
+    return g, plan, DFSEngine._edge_tasks(g, plan)
 
 
-def per_task_count(g, plan, tasks, reduced):
-    kernel = codegen.compile_kernel(plan, "edge", assume_reduced=reduced)
+def per_task_count(g, plan, tasks):
+    """The generated kernel run task by task: edges, or root vertices."""
+    mode = "vertex" if tasks.ndim == 1 else "edge"
+    kernel = codegen.compile_kernel(plan, mode)
     ops, ctr = BACKENDS["numpy"], Counter()
-    return sum(kernel(a, b, g.indptr, g.indices, ops, ctr) for a, b in tasks.tolist())
+    rows = tasks.reshape(len(tasks), -1).tolist()
+    return sum(kernel(*t, g.indptr, g.indices, ops, ctr) for t in rows)
 
 
-@pytest.mark.parametrize("name", ["tiny", "tiny_dense", "tiny_skew"])
+@pytest.mark.parametrize("name,kind", [
+    pytest.param(n, k, id=n if k == "edges" else f"{n}-{k}")
+    for k in ("edges", "roots") for n in ("tiny", "tiny_dense", "tiny_skew")
+])
 @pytest.mark.parametrize("p,induced", EI + VI, ids=IDS)
-def test_batch_count_equals_per_task_kernel(name, p, induced):
-    g, plan, tasks, reduced = edge_run(tiny(name), p, induced)
-    want = per_task_count(g, plan, tasks, reduced)
+def test_batch_count_equals_per_task_kernel(name, kind, p, induced):
+    g, plan, tasks = edge_run(tiny(name), p, induced)
+    if kind == "roots":
+        tasks = np.arange(g.n, dtype=np.int64)
+    want = per_task_count(g, plan, tasks)
     keys = edge_keys(g)
     for step in (1, TINY_STEP, MAX_STEP):
-        got, touches = batch_count(plan, g.indptr, keys, tasks, step, reduced=reduced)
+        got, touches = batch_count(plan, g.indptr, keys, tasks, step)
         assert got == want, step
         assert touches > 0
 
@@ -76,7 +84,7 @@ def test_batched_engine_matches_oracle(spark, g, p, induced, budget):
     """Every clique size runs the batched oriented kernel."""
     limit = BIG
     if budget == "tight":
-        gg, plan, tasks, _ = edge_run(g, p, induced)
+        gg, plan, tasks = edge_run(g, p, induced)
         per = (plan.k + 1) * 8 * DFSConfig.num_partitions
         limit = gg.nbytes() + tasks.nbytes + TINY_STEP * per
     meter = memmod.MemoryMeter(limit)
@@ -89,20 +97,29 @@ def test_batched_engine_matches_oracle(spark, g, p, induced, budget):
         assert meter.peak == meter.budget  # the step is TINY_STEP exactly
 
 
-@pytest.mark.parametrize("p,induced", [(path(3), True), (path(4), False), (path(4), True)],
-                         ids=["3-path-vi", "4-path-ei", "4-path-vi"])
+@pytest.mark.parametrize(
+    "p,induced",
+    [(path(3), True), (path(4), False), (path(4), True), (star(3), True),
+     (tailed_triangle(), True)],
+    ids=["3-path-vi", "4-path-ei", "4-path-vi", "3-star-vi", "tailed-triangle-vi"],
+)
 def test_unreduced_edgelist_guard(spark, g, p, induced):
-    """An unreduced edgelist gets level 1's bounds as a mask on the tasks."""
+    """Omega meets level 1's bounds: a plan whose first edge cannot be
+    reduced runs on every stored edge, and the engine, DuckDB and
+    ``batch_count`` over ``edge_tasks("all")`` agree on it; a plan that can
+    be reduced runs on the half its bound keeps."""
     plan = build_plan(p, induced=induced)
-    keys = edge_keys(g)
-    full = batch_count(plan, g.indptr, keys, g.edge_tasks("all"), MAX_STEP, reduced=False)
+    tasks = DFSEngine._edge_tasks(g, plan)
     if plan.first_edge_reduced():
-        red = batch_count(plan, g.indptr, keys, g.edge_tasks("lt"), MAX_STEP)
-        assert full[0] == red[0]
+        assert len(tasks) == g.num_edges
+        assert ((tasks[:, 1] > tasks[:, 0]) == bool(plan.lower[1])).all()
+        return
+    assert np.array_equal(tasks, g.edge_tasks("all"))
+    full, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, MAX_STEP)
     eng, meter = DFSEngine(), memmod.MemoryMeter(BIG)
     df = eng.count_df(spark, g, p, induced=induced, meter=meter)
     assert_equivalent(df, codegen.pattern_sql(plan), adj=adj_pdf("tiny_skew"))
-    assert eng.count(spark, g, p, induced=induced, meter=meter) == full[0]
+    assert eng.count(spark, g, p, induced=induced, meter=meter) == full
 
 
 @pytest.mark.parametrize("p", [diamond(), star(3)], ids=lambda p: p.name)
@@ -110,9 +127,9 @@ def test_leaf_reuse_counts_like_expansion(p):
     """A reused leaf counts what expanding the leaf level counts."""
     plan = build_plan(p, induced=False)
     assert plan.leaf_reuse()
-    g, plan, tasks, reduced = edge_run(tiny("tiny_dense"), p, False)
-    got, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, TINY_STEP, reduced=reduced)
-    assert got == per_task_count(g, plan, tasks, reduced)
+    g, plan, tasks = edge_run(tiny("tiny_dense"), p, False)
+    got, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, TINY_STEP)
+    assert got == per_task_count(g, plan, tasks)
 
 
 def test_edge_keys_are_sorted_rows(g):

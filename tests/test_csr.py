@@ -1,4 +1,4 @@
-"""CSR substrate and preprocessing tests (orientation, renaming, tasks)."""
+"""CSR substrate and preprocessing tests (orientation, tasks)."""
 import numpy as np
 import pytest
 
@@ -38,6 +38,8 @@ def test_has_edge_symmetric(g):
 
 def test_nbytes_positive(g):
     assert g.nbytes() == g.indptr.nbytes + g.indices.nbytes
+    e, lab = generate_graph("tiny_labeled")
+    assert build_csr(e, labels=lab).nbytes() == build_csr(e).nbytes() + lab.nbytes
 
 
 # -- orientation (opt A) -------------------------------------------------
@@ -76,33 +78,6 @@ def test_orient_requires_symmetric(g):
         g.orient().orient()
 
 
-# -- renaming (SS4.2 sorting/renaming) -----------------------------------
-
-def test_rename_preserves_degree_multiset(g):
-    gr = g.rename_by_degree()
-    assert sorted(gr.degrees.tolist()) == sorted(g.degrees.tolist())
-
-
-def test_rename_puts_hubs_first(g):
-    gr = g.rename_by_degree()
-    d = gr.degrees
-    assert d[0] == g.max_degree, "vertex 0 is the biggest hub after renaming"
-    assert d[0] >= d[g.n - 1]
-
-
-def test_rename_preserves_triangle_count(g):
-    def tc(gg):
-        go = gg.orient()
-        t = 0
-        for u in range(go.n):
-            Nu = go.neighbors(u)
-            for v in Nu:
-                t += len(np.intersect1d(Nu, go.neighbors(int(v)), assume_unique=True))
-        return t
-
-    assert tc(g) == tc(g.rename_by_degree())
-
-
 # -- task edgelist Omega (opt J) -----------------------------------------
 
 def test_edge_tasks_all(g):
@@ -128,17 +103,3 @@ def test_edge_tasks_bad_mode(g):
 def test_oriented_tasks_already_reduced(g):
     go = g.orient()
     assert len(go.edge_tasks("lt")) == go.num_edges_stored
-
-
-# -- label info ----------------------------------------------------------
-
-def test_label_frequency():
-    e, lab = generate_graph("tiny_labeled")
-    g2 = build_csr(e, labels=lab)
-    freq = g2.label_frequency()
-    assert sum(freq.values()) == g2.n
-    assert g2.nbytes() > build_csr(e).nbytes()
-
-
-def test_label_frequency_empty_for_unlabeled(g):
-    assert g.label_frequency() == {}

@@ -57,18 +57,29 @@ def test_python_backend_matches_oracle(spark, g, adj, p):
 
 def test_vertex_fallback_keeps_g2miner_schedule(spark, g, monkeypatch):
     """When the unreduced edgelist does not fit, G2Miner falls back to
-    vertex tasks (SS5.1) and keeps its chunked round-robin order."""
+    vertex tasks (SS5.1): the batched kernel on root vertices, in its
+    chunked round-robin order, never the CPU systems' generated kernel."""
     p = path(3)
     assert not build_plan(p, induced=True).first_edge_reduced()
     orders = []
     real = engine_dfs.chunked_round_robin_order
     monkeypatch.setattr(engine_dfs, "chunked_round_robin_order",
                         lambda m, bins, chunk: orders.append(m) or real(m, bins, chunk=chunk))
+
+    def generated_kernel(*args, **kwargs):
+        raise AssertionError("G2Miner reached the generated kernel")
+
     meter = memmod.MemoryMeter(g.nbytes() + g.edge_tasks("all").nbytes - 1)
-    got = DFSEngine().count(spark, g, p, induced=True, meter=meter)
-    assert orders == [g.n]  # vertex tasks, in chunked round-robin order
+    with monkeypatch.context() as m:
+        m.setattr(codegen, "kernel_source", generated_kernel)
+        m.setattr(engine_dfs, "_vertex_worker", generated_kernel)
+        got = DFSEngine().count(spark, g, p, induced=True, meter=meter)
+        DFSEngine().count(spark, g, p, induced=True, meter=memmod.MemoryMeter(BIG))
+    assert orders == [g.n, 2 * g.num_edges]  # vertex tasks, then Omega, permuted
+    assert meter.resident == 0
+    assert meter.peak <= meter.budget
     assert got == DFSEngine(DFSConfig(parallelism="vertex")).count(spark, g, p, induced=True)
-    assert orders == [g.n]  # the CPU setting keeps natural order
+    assert len(orders) == 2  # the CPU setting keeps natural order
 
 
 def test_oom_raised_on_tiny_budget(spark, g):
@@ -89,8 +100,8 @@ def test_last_ops_populated(spark, g):
     assert eng.last_ops > 0
 
 
-def test_per_task_costs_shape(spark, g):
-    costs = DFSEngine().per_task_costs(spark, g, clique(3))
+def test_per_task_costs_shape(g):
+    costs = DFSEngine().per_task_costs(g, clique(3))
     assert len(costs) == g.num_edges
     assert (costs >= 1).all()
 

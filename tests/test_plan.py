@@ -137,6 +137,8 @@ def test_symmetry_breaking_uniqueness(p, induced, seed):
 @pytest.mark.parametrize("p", PATTERNS, ids=lambda p: p.name)
 def test_plan_level_constraint_partition(p):
     plan = build_plan(p, induced=True)
+    # opt J: only a v0/v1 bound lets the edgelist be reduced
+    assert plan.first_edge_reduced() == bool(plan.upper[1] + plan.lower[1])
     for i in range(1, p.k):
         # conn and anti partition the earlier positions
         assert sorted(plan.conn[i] + plan.anti[i]) == list(range(i))
@@ -149,7 +151,8 @@ def test_plan_level_constraint_partition(p):
 
 @pytest.mark.parametrize("p", PATTERNS, ids=lambda p: p.name)
 def test_edge_parallel_ok(p):
-    assert build_plan(p, induced=False).edge_parallel_ok()
+    """v0 and v1 form a pattern edge, so every plan can run on edge tasks."""
+    assert build_plan(p, induced=False).conn[1] == (0,)
 
 
 def test_first_edge_reduced_for_symmetric_start():
