@@ -66,8 +66,10 @@ def render_sched() -> str:
     lines.append("")
     lines.append(
         "Paper: chunked round-robin scales linearly 1→8 GPUs; even-split "
-        "stops scaling beyond 3 GPUs on skewed graphs (Figs 8–10). Same "
-        "behaviour here, from measured per-edge-task work on Tw2."
+        "stops scaling beyond 3 GPUs on skewed graphs (Figs 8–10). Here, "
+        "from the measured work of every task of G²Miner's oriented TC "
+        f"kernel on Tw2, at {n} GPUs chunked-RR reaches {cr:.2f} "
+        f"({cr / n:.0%} of linear) and even-split {es:.2f} ({es / n:.0%})."
     )
     lines.append("")
     return "\n".join(lines)

@@ -1,10 +1,12 @@
 """Entrypoint for the multi-GPU scaling experiment (the substance of the
 paper's Figs 8-10, reported as a table).
 
-Measures per-edge-task work with the instrumented engine on a skewed graph
-and simulates 1-8 virtual GPUs under even-split vs chunked round-robin,
-printing speedups and per-GPU times. The replay runs on the driver, so no
-Spark session is started.
+Measures the work of every task of G2Miner's triangle-counting run on a
+skewed graph (``DFSEngine.per_task_costs``: the batched kernel on the
+oriented graph, one edge task at a time) and simulates 1-8 virtual GPUs
+under even-split vs chunked round-robin, printing speedups and per-GPU
+shares of work. The measurement runs on the driver, so no Spark session is
+started.
 """
 import argparse
 

@@ -6,9 +6,12 @@ kernels. This port generates two artifacts from the same ``SearchPlan``:
 1. **DFS kernels** — Python source for the nested-loop search program
    (Algorithm 1 shape: one loop per level, set-op calls against the
    primitive library, symmetry-breaking bounds, leaf counted with ``len``),
-   compiled with ``exec``. One kernel per (pattern, parallelism mode),
-   exactly like one CUDA kernel per pattern. The generated source is kept
-   on the function object (``kernel.__source__``) for inspection/tests.
+   compiled with ``exec``. One kernel per pattern, exactly like one CUDA
+   kernel per pattern, with a root vertex as the task: the CPU systems'
+   vertex parallelism. G2Miner itself runs the level-generic batched
+   kernel of ``engine_dfs``, which needs no generated code. The generated
+   source is kept on the function object (``kernel.__source__``) for
+   inspection/tests.
 
 2. **Pattern SQL** — a join-chain query over a symmetric adjacency table
    ``adj(src, dst)`` with NOT EXISTS anti-edges and symmetry predicates.
@@ -69,65 +72,51 @@ def _level_body(plan: SearchPlan, i: int, lines: list[str], ind: str,
     _level_body(plan, i + 1, lines, ind2, needed_nbrs)
 
 
-def kernel_source(plan: SearchPlan, mode: str, *, assume_reduced: bool = True) -> str:
+def kernel_source(plan: SearchPlan, mode: str) -> str:
     """Generate the DFS kernel source for ``plan``.
 
-    ``mode='edge'``: the task is an edge (v0, v1) — G2Miner's default
-    edge parallelism (SS5.1(2)) one task at a time; the engine runs edge
-    mode batched (``engine_dfs.batch_count``), and this form serves
-    ``per_task_costs`` and the tests' reference. ``mode='vertex'``: the
-    task is a root vertex v0 and the kernel owns the v1 loop — the
-    CPU-system default.
-    ``assume_reduced`` says the task edgelist already satisfies the v0/v1
-    symmetry bound (opt J), so no guard is generated.
+    The task is a root vertex v0 and the kernel owns the v1 loop: the
+    CPU systems' vertex parallelism. ``mode`` must be ``'vertex'``;
+    G2Miner's edge tasks run the batched kernel
+    (``engine_dfs.batch_count``), which is not generated.
     """
+    if mode != "vertex":
+        raise ValueError(f"bad mode {mode!r}")
     k = plan.k
     needed = {j for i in range(2, k) for j in plan.conn[i]}
     if plan.induced:
         needed |= {j for i in range(2, k) for j in plan.anti[i]}
-    lines: list[str] = []
-    if mode == "edge":
-        lines.append("def kernel(v0, v1, indptr, indices, ops, ctr):")
-        lines.append("    total = 0")
-        if not assume_reduced:
-            for j in plan.upper[1]:
-                lines.append(f"    if v1 >= v{j}: return 0")
-            for j in plan.lower[1]:
-                lines.append(f"    if v1 <= v{j}: return 0")
-        for j in sorted(needed & {0, 1}):
-            lines.append(f"    N{j} = indices[indptr[v{j}]:indptr[v{j}+1]]")
-        if k == 2:
-            lines.append("    total += 1")
-        else:
-            _level_body(plan, 2, lines, "    ", needed)
-    elif mode == "vertex":
-        lines.append("def kernel(v0, indptr, indices, ops, ctr):")
-        lines.append("    total = 0")
-        lines.append("    N0 = indices[indptr[v0]:indptr[v0+1]]")
-        # Level 1: candidates from N0 plus bounds vs v0.
-        cur = "N0"
-        for j in plan.upper[1]:
-            lines.append(f"    S1 = ops.bound_upper({cur}, v{j}, ctr)")
-            cur = "S1"
-        for j in plan.lower[1]:
-            lines.append(f"    S1 = ops.bound_lower({cur}, v{j}, ctr)")
-            cur = "S1"
-        if k == 2:
-            lines.append(f"    total += len({cur})")
-        else:
-            lines.append(f"    for v1 in {cur}:")
-            if 1 in needed:
-                lines.append("        N1 = indices[indptr[v1]:indptr[v1+1]]")
-            _level_body(plan, 2, lines, "        ", needed)
+    lines = [
+        "def kernel(v0, indptr, indices, ops, ctr):",
+        "    total = 0",
+        "    N0 = indices[indptr[v0]:indptr[v0+1]]",
+    ]
+    # Level 1: candidates from N0 plus bounds vs v0.
+    cur = "N0"
+    for j in plan.upper[1]:
+        lines.append(f"    S1 = ops.bound_upper({cur}, v{j}, ctr)")
+        cur = "S1"
+    for j in plan.lower[1]:
+        lines.append(f"    S1 = ops.bound_lower({cur}, v{j}, ctr)")
+        cur = "S1"
+    if k == 2:
+        lines.append(f"    total += len({cur})")
     else:
-        raise ValueError(f"bad mode {mode!r}")
+        lines.append(f"    for v1 in {cur}:")
+        if 1 in needed:
+            lines.append("        N1 = indices[indptr[v1]:indptr[v1+1]]")
+        _level_body(plan, 2, lines, "        ", needed)
     lines.append("    return total")
     return "\n".join(lines) + "\n"
 
 
 def compile_kernel(plan: SearchPlan, mode: str, *, assume_reduced: bool = True):
-    """Compile the generated source into a callable; the NVCC step."""
-    src = kernel_source(plan, mode, assume_reduced=assume_reduced)
+    """Compile the generated source into a callable; the NVCC step.
+
+    ``assume_reduced`` has no effect: it is accepted only because the
+    benchmark's kernel replay (``perfbench/tracing.py``) still passes it.
+    """
+    src = kernel_source(plan, mode)
     ns: dict = {}
     exec(compile(src, f"<kernel:{plan.pattern.name or 'pattern'}:{mode}>", "exec"), ns)
     fn = ns["kernel"]
@@ -137,7 +126,7 @@ def compile_kernel(plan: SearchPlan, mode: str, *, assume_reduced: bool = True):
 
 # -- SQL generation ------------------------------------------------------
 
-def pattern_sql(plan: SearchPlan, *, adj: str = "adj", limit_level: int | None = None) -> str:
+def pattern_sql(plan: SearchPlan, *, adj: str = "adj") -> str:
     """Generate the counting SQL for ``plan`` over a symmetric adjacency
     table ``adj(src, dst)``.
 
@@ -146,7 +135,7 @@ def pattern_sql(plan: SearchPlan, *, adj: str = "adj", limit_level: int | None =
     pattern edge, adds NOT EXISTS per anti-edge (vertex-induced only),
     and symmetry/exclusion predicates. Returns one row ``cnt``.
     """
-    k = plan.k if limit_level is None else limit_level
+    k = plan.k
     if k < 2:
         raise ValueError("need k >= 2")
     v = {0: "e1.src", 1: "e1.dst"}
@@ -172,8 +161,7 @@ def pattern_sql(plan: SearchPlan, *, adj: str = "adj", limit_level: int | None =
         for j in plan.excl[i]:
             preds.append(f"{v[i]} <> {v[j]}")
     for (i, j) in plan.sym:
-        if i < k and j < k:
-            preds.append(f"{v[i]} < {v[j]}")
+        preds.append(f"{v[i]} < {v[j]}")
     where = ("\nWHERE " + "\n  AND ".join(preds)) if preds else ""
     return (
         "SELECT COUNT(*) AS cnt\nFROM "

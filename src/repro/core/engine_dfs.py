@@ -34,8 +34,9 @@ with the chunked round-robin order (SS7.1 policy 3) and the GPU budget.
 orientation, tasks in natural order and the host budget.
 
 The engine accounts all materialised state against a device-memory budget
-(``repro.memory``) and can report per-task measured work for the multi-GPU
-scheduling simulation.
+(``repro.memory``). ``per_task_costs`` measures G2Miner's batched kernel one
+Omega task at a time, the per-task work the multi-GPU scheduling
+simulation distributes.
 """
 from __future__ import annotations
 
@@ -320,17 +321,9 @@ class DFSEngine:
         (TC/k-CL/SL semantics).
         """
         meter = meter or memmod.MemoryMeter(self.budget)
-        # For cliques, vertex- and edge-induced matches coincide (SS2.1),
-        # so orientation applies regardless of the induced flag.
-        use_orient = pattern.is_clique() and self._gpu
-        g = csr.orient() if use_orient else csr
+        g, plan = self._graph_and_plan(csr, pattern, induced)
         meter.alloc("csr", g.nbytes())
         try:
-            plan = (
-                oriented_clique_plan(pattern.k)
-                if use_orient
-                else build_plan(pattern, induced=induced)
-            )
             if self._gpu:
                 tasks = self._edge_tasks(g, plan)
                 # Input-aware Omega management (SS5.1 + SS7.2): when the
@@ -374,6 +367,17 @@ class DFSEngine:
 
     # -- internals -------------------------------------------------------
 
+    def _graph_and_plan(
+        self, csr: CSRGraph, pattern: Pattern, induced: bool
+    ) -> tuple[CSRGraph, SearchPlan]:
+        """The data graph and search plan ``count`` searches. G2Miner runs
+        cliques on the oriented graph with ``oriented_clique_plan``: for
+        cliques, vertex- and edge-induced matches coincide (SS2.1), so
+        orientation applies regardless of ``induced``."""
+        if self._gpu and pattern.is_clique():
+            return csr.orient(), oriented_clique_plan(pattern.k)
+        return csr, build_plan(pattern, induced=induced)
+
     @staticmethod
     def _edge_tasks(g: CSRGraph, plan: SearchPlan) -> np.ndarray:
         """Task edgelist Omega, reduced (opt J) to the direction that level
@@ -401,16 +405,16 @@ class DFSEngine:
     def per_task_costs(
         self, csr: CSRGraph, pattern: Pattern, *, induced: bool = False
     ) -> np.ndarray:
-        """Measured per-edge-task work (set-op element touches) — the input
-        the multi-GPU scheduling simulation uses (Fig 9/10 substance)."""
-        plan = build_plan(pattern, induced=induced)
-        kernel = codegen.compile_kernel(plan, "edge", assume_reduced=True)
-        tasks = self._edge_tasks(csr, plan)
-        ops = BACKENDS["numpy"]
-        costs = np.zeros(len(tasks), dtype=np.int64)
-        indptr, indices = csr.indptr, csr.indices
-        for t in range(len(tasks)):
-            ctr = Counter()
-            kernel(int(tasks[t, 0]), int(tasks[t, 1]), indptr, indices, ops, ctr)
-            costs[t] = ctr.ops + 1
-        return costs
+        """Measured work of every Omega task (candidate checks + 1) in the
+        batched kernel ``count`` runs, one task at a time on the driver:
+        the input of the multi-GPU scheduling simulation (Fig 9/10
+        substance). The costs sum to ``last_ops`` of a ``count`` on Omega
+        plus one per task."""
+        g, plan = self._graph_and_plan(csr, pattern, induced)
+        tasks = self._edge_tasks(g, plan)
+        keys = edge_keys(g)
+        return np.array(
+            [batch_count(plan, g.indptr, keys, tasks[t : t + 1], MAX_STEP)[1] + 1
+             for t in range(len(tasks))],
+            dtype=np.int64,
+        )

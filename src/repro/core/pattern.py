@@ -98,18 +98,6 @@ class Pattern:
             for p in permutations(range(self.k))
         )
 
-    def canonical_key(self) -> tuple:
-        """A canonical structural key: lexicographically minimal edge
-        bitstring over all relabelings. Equal iff isomorphic."""
-        pairs = list(combinations(range(self.k), 2))
-        best = None
-        for p in permutations(range(self.k)):
-            rel = self.relabel(p).edges
-            bits = tuple(int(frozenset(pr) in rel) for pr in pairs)
-            if best is None or bits < best:
-                best = bits
-        return (self.k, best)
-
 
 def from_edge_list(k: int, edge_list, name: str = "") -> Pattern:
     """Explicit pattern from an edge list (the Listing 2 ``pattern.el``)."""

@@ -35,8 +35,6 @@ class CSRGraph:
     indices: np.ndarray
     labels: np.ndarray | None = None
     directed: bool = False
-    #: Ranking used by orientation, kept so tests can validate acyclicity.
-    orient_rank: np.ndarray | None = None
 
     # -- input information (paper: "extracts input information") ---------
     @property
@@ -96,7 +94,6 @@ class CSRGraph:
             labels=self.labels,
             directed=True,
             symmetrize=False,
-            orient_rank=rank,
         )
 
     def edge_tasks(self, mode: str = "all") -> np.ndarray:
@@ -126,7 +123,6 @@ def build_csr(
     labels: np.ndarray | None = None,
     directed: bool = False,
     symmetrize: bool = True,
-    orient_rank: np.ndarray | None = None,
 ) -> CSRGraph:
     """Build a CSR graph from an ``(m, 2)`` edge array.
 
@@ -149,5 +145,4 @@ def build_csr(
         indices=np.ascontiguousarray(dst),
         labels=labels,
         directed=directed,
-        orient_rank=orient_rank,
     )

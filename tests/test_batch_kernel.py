@@ -1,10 +1,10 @@
 """Batched kernel tests (G2Miner).
 
 The batched kernel must count exactly what the generated kernel counts
-(the per-edge form on edge tasks, the per-vertex form on root vertices)
-and what DuckDB counts on the generated pattern SQL, whatever the
-frontier step: under a budget so small that every batch splits many times
-as well as under an unbounded one.
+root by root on the same graph and plan, on edge tasks and on root
+vertices alike, and what DuckDB counts on the generated pattern SQL,
+whatever the frontier step: under a budget so small that every batch
+splits many times as well as under an unbounded one.
 """
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ import pytest
 from repro import memory as memmod
 from repro.core import codegen, counting
 from repro.core.engine_dfs import (
-    MAX_STEP, DFSConfig, DFSEngine, batch_count, edge_keys, oriented_clique_plan,
-    run_slices,
+    MAX_STEP, DFSConfig, DFSEngine, batch_count, edge_keys, run_slices,
 )
 from repro.core.pattern import clique, cycle, diamond, motifs, path, star, tailed_triangle
 from repro.core.plan import build_plan
@@ -45,20 +44,15 @@ def tiny(name):
 
 def edge_run(g, p, induced):
     """The graph, plan and task edgelist a G2Miner run searches."""
-    if p.is_clique():
-        g, plan = g.orient(), oriented_clique_plan(p.k)
-    else:
-        plan = build_plan(p, induced=induced)
+    g, plan = DFSEngine()._graph_and_plan(g, p, induced)
     return g, plan, DFSEngine._edge_tasks(g, plan)
 
 
-def per_task_count(g, plan, tasks):
-    """The generated kernel run task by task: edges, or root vertices."""
-    mode = "vertex" if tasks.ndim == 1 else "edge"
-    kernel = codegen.compile_kernel(plan, mode)
+def per_task_count(g, plan):
+    """The generated kernel run root by root over every vertex."""
+    kernel = codegen.compile_kernel(plan, "vertex")
     ops, ctr = BACKENDS["numpy"], Counter()
-    rows = tasks.reshape(len(tasks), -1).tolist()
-    return sum(kernel(*t, g.indptr, g.indices, ops, ctr) for t in rows)
+    return sum(kernel(v0, g.indptr, g.indices, ops, ctr) for v0 in range(g.n))
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -70,7 +64,7 @@ def test_batch_count_equals_per_task_kernel(name, kind, p, induced):
     g, plan, tasks = edge_run(tiny(name), p, induced)
     if kind == "roots":
         tasks = np.arange(g.n, dtype=np.int64)
-    want = per_task_count(g, plan, tasks)
+    want = per_task_count(g, plan)
     keys = edge_keys(g)
     for step in (1, TINY_STEP, MAX_STEP):
         got, touches = batch_count(plan, g.indptr, keys, tasks, step)
@@ -129,7 +123,7 @@ def test_leaf_reuse_counts_like_expansion(p):
     assert plan.leaf_reuse()
     g, plan, tasks = edge_run(tiny("tiny_dense"), p, False)
     got, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, TINY_STEP)
-    assert got == per_task_count(g, plan, tasks)
+    assert got == per_task_count(g, plan)
 
 
 def test_edge_keys_are_sorted_rows(g):

@@ -1,13 +1,13 @@
-"""Code-generator tests: generated kernels and generated SQL must agree
-with each other and with DuckDB, for every pattern and both parallelism
-modes — the reproduction's equivalent of validating NVCC kernel output.
+"""Code-generator tests: the generated kernel must count what DuckDB
+counts on the generated SQL, for every pattern — the reproduction's
+equivalent of validating NVCC kernel output.
 """
 import duckdb
 import numpy as np
 import pytest
 
 from repro.core import codegen
-from repro.core.pattern import clique, cycle, diamond, motifs, path, star, tailed_triangle
+from repro.core.pattern import Pattern, clique, cycle, diamond, motifs, path
 from repro.core.plan import build_plan
 from repro.core.setops import BACKENDS, Counter
 from repro.graph.csr import build_csr
@@ -35,37 +35,19 @@ def duck():
     con.close()
 
 
-def run_kernel(plan, mode, g, backend="numpy"):
-    kernel = codegen.compile_kernel(plan, mode, assume_reduced=True)
+def run_kernel(plan, g, backend="numpy"):
+    """The generated kernel run root by root over every vertex."""
+    kernel = codegen.compile_kernel(plan, "vertex")
     ops = BACKENDS[backend]
     ctr = Counter()
-    total = 0
-    if mode == "edge":
-        if (0, 1) in plan.sym:
-            tasks = g.edge_tasks("lt")
-        elif (1, 0) in plan.sym:
-            tasks = g.edge_tasks("gt")
-        else:
-            tasks = g.edge_tasks("all")
-        for v0, v1 in tasks:
-            total += kernel(int(v0), int(v1), g.indptr, g.indices, ops, ctr)
-    else:
-        for v0 in range(g.n):
-            total += kernel(v0, g.indptr, g.indices, ops, ctr)
-    return total
+    return sum(kernel(v0, g.indptr, g.indices, ops, ctr) for v0 in range(g.n))
 
 
 @pytest.mark.parametrize("p,induced", CASES, ids=CASE_IDS)
 def test_kernel_edge_matches_duckdb(graph, duck, p, induced):
     plan = build_plan(p, induced=induced)
     want = duck.execute(codegen.pattern_sql(plan)).fetchone()[0]
-    assert run_kernel(plan, "edge", graph) == want
-
-
-@pytest.mark.parametrize("p,induced", CASES, ids=CASE_IDS)
-def test_kernel_vertex_matches_edge(graph, p, induced):
-    plan = build_plan(p, induced=induced)
-    assert run_kernel(plan, "vertex", graph) == run_kernel(plan, "edge", graph)
+    assert run_kernel(plan, graph) == want
 
 
 @pytest.mark.parametrize(
@@ -74,46 +56,33 @@ def test_kernel_vertex_matches_edge(graph, p, induced):
 )
 def test_python_backend_matches_numpy(graph, p, induced):
     plan = build_plan(p, induced=induced)
-    assert run_kernel(plan, "edge", graph, "python") == run_kernel(
-        plan, "edge", graph, "numpy"
-    )
-
-
-def test_unreduced_kernel_guards(graph):
-    """Without opt J the kernel must re-check the v0/v1 bound itself."""
-    plan = build_plan(clique(3), induced=False)
-    kernel = codegen.compile_kernel(plan, "edge", assume_reduced=False)
-    ops = BACKENDS["numpy"]
-    total = 0
-    for v0, v1 in graph.edge_tasks("all"):
-        total += kernel(int(v0), int(v1), graph.indptr, graph.indices, ops, Counter())
-    reduced = run_kernel(plan, "edge", graph)
-    assert total == reduced
+    assert run_kernel(plan, graph, "python") == run_kernel(plan, graph, "numpy")
 
 
 def test_kernel_source_attached():
     plan = build_plan(diamond(), induced=False)
-    k = codegen.compile_kernel(plan, "edge")
+    k = codegen.compile_kernel(plan, "vertex")
     assert "def kernel(" in k.__source__
     assert "ops.intersect" in k.__source__
 
 
 def test_kernel_source_leaf_counts_with_len():
     plan = build_plan(clique(4), induced=False)
-    src = codegen.kernel_source(plan, "edge")
+    src = codegen.kernel_source(plan, "vertex")
     assert "total += len(" in src, "counting at the leaf (no innermost loop)"
 
 
 def test_kernel_source_has_bounds_for_symmetry():
     plan = build_plan(clique(4), induced=False)
-    src = codegen.kernel_source(plan, "edge", assume_reduced=True)
+    src = codegen.kernel_source(plan, "vertex")
     assert "bound" in src, "symmetry order compiled into bound ops"
 
 
 def test_bad_mode_rejected():
     plan = build_plan(clique(3), induced=False)
-    with pytest.raises(ValueError):
-        codegen.kernel_source(plan, "cta")
+    for mode in ("edge", "cta"):
+        with pytest.raises(ValueError):
+            codegen.kernel_source(plan, mode)
 
 
 def test_pattern_sql_shape():
@@ -129,9 +98,9 @@ def test_pattern_sql_non_induced_has_no_anti():
 
 
 def test_pattern_sql_rejects_k1():
-    plan = build_plan(clique(3), induced=False)
+    plan = build_plan(Pattern(1, frozenset()), induced=False)
     with pytest.raises(ValueError):
-        codegen.pattern_sql(plan, limit_level=1)
+        codegen.pattern_sql(plan)
 
 
 @pytest.mark.parametrize("name", ["tiny_skew", "tiny_dense"])
@@ -144,6 +113,6 @@ def test_kernels_on_other_graphs(name):
         for p, induced in [(clique(4), False), (diamond(), True)]:
             plan = build_plan(p, induced=induced)
             want = con.execute(codegen.pattern_sql(plan)).fetchone()[0]
-            assert run_kernel(plan, "edge", g) == want
+            assert run_kernel(plan, g) == want
     finally:
         con.close()

@@ -57,10 +57,10 @@ def test_orient_reduces_max_degree(g):
 
 def test_orient_is_acyclic_by_rank(g):
     go = g.orient()
-    rank = go.orient_rank
+    deg = g.degrees
     for u in range(go.n):
         for v in go.neighbors(u):
-            assert rank[u] < rank[v], "all edges point up the rank order"
+            assert (deg[u], u) < (deg[v], v), "all edges point up the (degree, id) rank"
 
 
 def test_orient_preserves_edge_set(g):

@@ -100,10 +100,17 @@ def test_last_ops_populated(spark, g):
     assert eng.last_ops > 0
 
 
-def test_per_task_costs_shape(g):
-    costs = DFSEngine().per_task_costs(g, clique(3))
-    assert len(costs) == g.num_edges
+@pytest.mark.parametrize("p", [clique(3), clique(4), diamond(), cycle(4)],
+                         ids=lambda p: p.name)
+def test_per_task_costs_sum_to_run_touches(spark, g, p):
+    """The Fig 9/10 per-task costs measure the kernel ``count`` runs: one
+    per Omega task, each its candidate checks + 1, summing to the run's."""
+    eng = DFSEngine()
+    eng.count(spark, g, p, meter=memmod.MemoryMeter(BIG))
+    costs = eng.per_task_costs(g, p)
+    assert len(costs) == g.num_edges  # each plan's Omega is reduced
     assert (costs >= 1).all()
+    assert costs.sum() == eng.last_ops + len(costs)
 
 
 def test_oriented_clique_plan_structure():
