@@ -6,6 +6,7 @@ kernels. This port generates two artifacts from the same ``SearchPlan``:
 1. **DFS kernels** — Python source for the nested-loop search program
    (Algorithm 1 shape: one loop per level, set-op calls against the
    primitive library, symmetry-breaking bounds, leaf counted with ``len``),
+   written by one emitter in a single pass over the plan's levels and
    compiled with ``exec``. One kernel per pattern, exactly like one CUDA
    kernel per pattern, with a root vertex as the task: the CPU systems'
    vertex parallelism. G2Miner itself runs the level-generic batched
@@ -25,51 +26,36 @@ from __future__ import annotations
 from repro.core.plan import SearchPlan
 
 
-def _level_body(plan: SearchPlan, i: int, lines: list[str], ind: str,
-                needed_nbrs: set[int]) -> None:
-    """Emit code computing candidate set ``S{i}`` and the loop/leaf for
-    level ``i`` (recursive over levels)."""
-    k = plan.k
-    conn = plan.conn[i]
-    ops_needed = (
-        len(conn) - 1
-        + (len(plan.anti[i]) if plan.induced else 0)
-        + len(plan.upper[i])
-        + len(plan.lower[i])
-        + (1 if plan.excl[i] else 0)
-    )
-    first = conn[0]
-    if ops_needed == 0:
-        lines.append(f"{ind}S{i} = N{first}")
-    else:
-        cur = f"N{first}"
-        for j in conn[1:]:
-            lines.append(f"{ind}S{i} = ops.intersect({cur}, N{j}, ctr)")
-            cur = f"S{i}"
-        if plan.induced:
-            for j in plan.anti[i]:
-                lines.append(f"{ind}S{i} = ops.difference({cur}, N{j}, ctr)")
-                cur = f"S{i}"
-        for j in plan.upper[i]:
-            lines.append(f"{ind}S{i} = ops.bound_upper({cur}, v{j}, ctr)")
-            cur = f"S{i}"
-        for j in plan.lower[i]:
-            lines.append(f"{ind}S{i} = ops.bound_lower({cur}, v{j}, ctr)")
-            cur = f"S{i}"
-        if plan.excl[i]:
-            vals = ", ".join(f"v{j}" for j in plan.excl[i]) + ","
-            lines.append(f"{ind}S{i} = ops.remove({cur}, ({vals}), ctr)")
-    if i == k - 1:
-        # Leaf: the candidate set *is* the matches; count with len (the
-        # paper's counting-at-the-leaf, valid for listing timings too
-        # since S{i} is materialised).
-        lines.append(f"{ind}total += len(S{i})")
+def _emit_level(plan: SearchPlan, i: int, lines: list[str], ind: str,
+                needed: set[int]) -> None:
+    """Emit level ``i`` and, recursively, every deeper level.
+
+    The candidate set starts as ``N{conn[i][0]}`` and each of the level's
+    constraints is one set-op call on it: intersect with the other
+    pattern neighbours, difference with the non-neighbours (vertex-induced
+    only), the symmetry bounds, then the identity exclusions. The leaf
+    counts its set with ``len`` (the paper's counting at the leaf); any
+    other level loops over it.
+    """
+    calls = [("intersect", f"N{j}") for j in plan.conn[i][1:]]
+    if plan.induced:
+        calls += [("difference", f"N{j}") for j in plan.anti[i]]
+    calls += [("bound_upper", f"v{j}") for j in plan.upper[i]]
+    calls += [("bound_lower", f"v{j}") for j in plan.lower[i]]
+    if plan.excl[i]:
+        calls.append(("remove", "(" + ", ".join(f"v{j}" for j in plan.excl[i]) + ",)"))
+    cur = f"N{plan.conn[i][0]}"
+    for op, arg in calls:
+        lines.append(f"{ind}S{i} = ops.{op}({cur}, {arg}, ctr)")
+        cur = f"S{i}"
+    if i == plan.k - 1:
+        lines.append(f"{ind}total += len({cur})")
         return
-    lines.append(f"{ind}for v{i} in S{i}:")
-    ind2 = ind + "    "
-    if i in needed_nbrs:
-        lines.append(f"{ind2}N{i} = indices[indptr[v{i}]:indptr[v{i}+1]]")
-    _level_body(plan, i + 1, lines, ind2, needed_nbrs)
+    lines.append(f"{ind}for v{i} in {cur}:")
+    ind += "    "
+    if i in needed:
+        lines.append(f"{ind}N{i} = indices[indptr[v{i}]:indptr[v{i}+1]]")
+    _emit_level(plan, i + 1, lines, ind, needed)
 
 
 def kernel_source(plan: SearchPlan, mode: str) -> str:
@@ -83,6 +69,7 @@ def kernel_source(plan: SearchPlan, mode: str) -> str:
     if mode != "vertex":
         raise ValueError(f"bad mode {mode!r}")
     k = plan.k
+    # Positions whose neighbour list a deeper level reads.
     needed = {j for i in range(2, k) for j in plan.conn[i]}
     if plan.induced:
         needed |= {j for i in range(2, k) for j in plan.anti[i]}
@@ -91,21 +78,7 @@ def kernel_source(plan: SearchPlan, mode: str) -> str:
         "    total = 0",
         "    N0 = indices[indptr[v0]:indptr[v0+1]]",
     ]
-    # Level 1: candidates from N0 plus bounds vs v0.
-    cur = "N0"
-    for j in plan.upper[1]:
-        lines.append(f"    S1 = ops.bound_upper({cur}, v{j}, ctr)")
-        cur = "S1"
-    for j in plan.lower[1]:
-        lines.append(f"    S1 = ops.bound_lower({cur}, v{j}, ctr)")
-        cur = "S1"
-    if k == 2:
-        lines.append(f"    total += len({cur})")
-    else:
-        lines.append(f"    for v1 in {cur}:")
-        if 1 in needed:
-            lines.append("        N1 = indices[indptr[v1]:indptr[v1+1]]")
-        _level_body(plan, 2, lines, "        ", needed)
+    _emit_level(plan, 1, lines, "    ", needed)
     lines.append("    return total")
     return "\n".join(lines) + "\n"
 
@@ -126,7 +99,7 @@ def compile_kernel(plan: SearchPlan, mode: str, *, assume_reduced: bool = True):
 
 # -- SQL generation ------------------------------------------------------
 
-def pattern_sql(plan: SearchPlan, *, adj: str = "adj") -> str:
+def pattern_sql(plan: SearchPlan) -> str:
     """Generate the counting SQL for ``plan`` over a symmetric adjacency
     table ``adj(src, dst)``.
 
@@ -139,23 +112,23 @@ def pattern_sql(plan: SearchPlan, *, adj: str = "adj") -> str:
     if k < 2:
         raise ValueError("need k >= 2")
     v = {0: "e1.src", 1: "e1.dst"}
-    joins = [f"{adj} e1"]
+    joins = ["adj e1"]
     preds: list[str] = []
     for i in range(2, k):
         conn = plan.conn[i]
         a0 = f"e{i}_{conn[0]}"
-        joins.append(f"{adj} {a0}")
+        joins.append(f"adj {a0}")
         preds.append(f"{a0}.src = {v[conn[0]]}")
         v[i] = f"{a0}.dst"
         for j in conn[1:]:
             al = f"e{i}_{j}"
-            joins.append(f"{adj} {al}")
+            joins.append(f"adj {al}")
             preds.append(f"{al}.src = {v[j]}")
             preds.append(f"{al}.dst = {v[i]}")
         if plan.induced:
             for j in plan.anti[i]:
                 preds.append(
-                    f"NOT EXISTS (SELECT 1 FROM {adj} x{i}_{j} "
+                    f"NOT EXISTS (SELECT 1 FROM adj x{i}_{j} "
                     f"WHERE x{i}_{j}.src = {v[j]} AND x{i}_{j}.dst = {v[i]})"
                 )
         for j in plan.excl[i]:

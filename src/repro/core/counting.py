@@ -109,7 +109,7 @@ def _stats_scalar(backend: str, graph, tasks):
 
 
 def edge_triangle_stats(
-    spark: SparkSession, csr: CSRGraph, *, backend: str = "numpy"
+    spark: SparkSession, csr: CSRGraph, *, backend: str
 ) -> dict[str, int]:
     """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}.
 
@@ -131,11 +131,10 @@ def edge_triangle_stats(
 
 
 def count3_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> dict[str, int]:
     """3-motif counts with counting-only pruning: triangles enumerated once
     (TC), induced wedges from degrees: sum C(d, 2) - 3T."""
-    engine = engine or DFSEngine()
     t = engine.count(spark, csr, clique(3))
     deg = csr.degrees.astype(np.int64)
     wedges_non = int((deg * (deg - 1) // 2).sum())
@@ -143,12 +142,11 @@ def count3_counting_only(
 
 
 def count4_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> dict[str, int]:
     """All six induced 4-motif counts from decompositions + two real
     enumerations (4-clique, 4-cycle); the stats sweep uses the engine's
     set-op backend."""
-    engine = engine or DFSEngine()
     stats = edge_triangle_stats(spark, csr, backend=engine.cfg.setops)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
@@ -171,9 +169,8 @@ def count4_counting_only(
 
 
 def diamond_counting_only(
-    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine | None = None
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> int:
     """Algorithm 3: edge-induced diamond count = sum_e C(t_e, 2), swept
     with the engine's set-op backend."""
-    backend = (engine or DFSEngine()).cfg.setops
-    return edge_triangle_stats(spark, csr, backend=backend)["diamond_non"]
+    return edge_triangle_stats(spark, csr, backend=engine.cfg.setops)["diamond_non"]

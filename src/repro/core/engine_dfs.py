@@ -54,7 +54,7 @@ from repro.core.pattern import Pattern, clique
 from repro.core.plan import SearchPlan, build_plan
 from repro.core.setops import BACKENDS, Counter
 from repro.graph.csr import CSRGraph
-from repro.sched.policies import chunked_round_robin_order
+from repro.sched.policies import CHUNK, chunked_round_robin_order
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ def oriented_clique_plan(k: int) -> SearchPlan:
     empt = tuple(() for _ in range(k))
     return SearchPlan(
         pattern=p,
-        order=tuple(range(k)),
         sym=(),
         conn=tuple(tuple(range(i)) for i in range(k)),
         anti=empt,
@@ -399,7 +398,7 @@ class DFSEngine:
         (the coarse-grain load imbalance of SS5.1(2))."""
         if not self._gpu or len(tasks) == 0:
             return tasks
-        perm = chunked_round_robin_order(len(tasks), DFSConfig.num_partitions, chunk=32)
+        perm = chunked_round_robin_order(len(tasks), DFSConfig.num_partitions, chunk=CHUNK)
         return tasks[perm]
 
     def per_task_costs(

@@ -276,14 +276,15 @@ def _supports(vec: np.ndarray, good: np.ndarray, sigma: int) -> pd.DataFrame:
     return _frequent(pd.DataFrame(rows, columns=["pattern", "support"]), sigma)
 
 
-def _pruned_graph(adj, labels, sigma) -> tuple[np.ndarray, CSRGraph]:
+def _pruned_graph(adj, labels, sigma) -> tuple[np.ndarray, CSRGraph, np.ndarray]:
     """Opt N: label-frequency pruning. Infrequent labels cannot appear in
     any frequent pattern (their orbit domain is capped by label frequency),
     so their vertices are dropped before any search.
 
-    Returns the frequent labels (ascending) and the pruned symmetric CSR,
-    with the kept vertices renumbered 0..n-1 in id order (neighbour lists
-    stay sorted) and ``labels`` compacted to indices into the first.
+    Returns the frequent labels (ascending), the pruned symmetric CSR, with
+    the kept vertices renumbered 0..n-1 in id order (neighbour lists stay
+    sorted), and each kept vertex's label compacted to an index into the
+    first.
     """
     freq = labels.groupby("label")["v"].count()
     good = np.sort(freq[freq >= sigma].index.to_numpy())
@@ -294,23 +295,21 @@ def _pruned_graph(adj, labels, sigma) -> tuple[np.ndarray, CSRGraph]:
     vid[keep] = np.arange(len(keep))
     ends = vid[ends]
     lab = np.searchsorted(good, kept["label"].to_numpy())
-    g = build_csr(
-        ends[(ends >= 0).all(axis=1)], n=len(keep), labels=lab, symmetrize=False
-    )
-    return good, g
+    g = build_csr(ends[(ends >= 0).all(axis=1)], n=len(keep), symmetrize=False)
+    return good, g, lab
 
 
 def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
     meter = meter or memmod.MemoryMeter(memmod.GPU_MEM_BYTES)
-    good, g = _pruned_graph(adj, labels, sigma)
+    good, g, lab = _pruned_graph(adj, labels, sigma)
     # The edge keys replace indices: the same bytes as the "graph" charge.
-    meter.alloc("graph", g.nbytes())
+    meter.alloc("graph", g.nbytes() + lab.nbytes)
     try:
         L = len(good)
         meter.alloc("histogram", g.n * L * 8)
         step = buffer_step(meter, 1, DFSConfig.num_partitions)
         vec = run_slices(
-            spark, (g.indptr, edge_keys(g), g.labels), np.arange(g.n),
+            spark, (g.indptr, edge_keys(g), lab), np.arange(g.n),
             partial(_domain_worker, L, step),
         )
         return _supports(np.array(vec, dtype=np.int64), good, sigma)

@@ -5,7 +5,10 @@ A ``SearchPlan`` is the intermediate representation the code generator
 consumes (SS5): for each level i it records which earlier levels to
 intersect with (pattern neighbors), which to difference against
 (non-neighbors, for vertex-induced search), the symmetry-breaking bounds,
-and which earlier vertices need an explicit identity exclusion.
+and which earlier vertices need an explicit identity exclusion. It holds
+only what its consumers read (the generated kernel, the batched kernel
+and the pattern SQL): the matching order is applied by relabeling the
+pattern into position space and is not kept.
 
 Symmetry order uses the stabilizer-chain construction (the GraphZero
 algorithm the paper adopts): walk positions in matching order; at each
@@ -40,7 +43,6 @@ class SearchPlan:
     """
 
     pattern: Pattern  # relabeled into position space
-    order: tuple[int, ...]  # position -> original pattern vertex id
     sym: tuple[tuple[int, int], ...]  # (i, j) meaning v_i < v_j
     conn: tuple[tuple[int, ...], ...]
     anti: tuple[tuple[int, ...], ...]
@@ -53,27 +55,18 @@ class SearchPlan:
     def k(self) -> int:
         return self.pattern.k
 
-    @property
-    def num_automorphisms(self) -> int:
-        return len(self.pattern.automorphisms())
-
     def first_edge_reduced(self) -> bool:
         """True iff the symmetry order constrains v0 vs v1 — enabling
         edgelist reduction (opt J, SS7.2(2))."""
         return (0, 1) in self.sym or (1, 0) in self.sym
 
     def num_buffers(self) -> int:
-        """Adaptive-buffering input (opt K): number of per-warp buffers X.
-
-        A level needs a buffer when its candidate set is *computed* (>= 2
-        operand sets) and reused by deeper levels; the paper bounds this by
-        k - 3 (first two levels and the leaf need none).
+        """Adaptive-buffering input (opt K): the number X = max(k - 3, 0)
+        of per-warp buffers, one for each level 2..k-2, whose candidate set
+        deeper levels loop over. The edge task supplies v0 and v1, and the
+        leaf only counts its set.
         """
-        x = 0
-        for i in range(2, self.k - 1):
-            if len(self.conn[i]) + (len(self.anti[i]) if self.induced else 0) >= 1:
-                x += 1
-        return min(x, max(self.k - 3, 0))
+        return max(self.k - 3, 0)
 
     def leaf_reuse(self) -> bool:
         """Buffer-reuse analysis for the leaf (level L = k-1, parent P = k-2).
@@ -176,7 +169,6 @@ def build_plan(p: Pattern, *, induced: bool) -> SearchPlan:
             raise AssertionError("disconnected matching order")
     return SearchPlan(
         pattern=p_pos,
-        order=order,
         sym=sym,
         conn=tuple(conn),
         anti=tuple(anti),

@@ -8,9 +8,9 @@ implements them with warp-level SIMD instructions (``__ballot_sync`` /
 This module ports that split:
 
 - ``NumpySetOps``  — vectorised numpy kernels: the SIMD/warp analog used by
-                     the GraphZero configuration and by G2Miner's vertex
-                     mode (G2Miner's edge mode batches its set ops over a
-                     whole task slice, ``engine_dfs.batch_count``).
+                     the GraphZero configuration. G2Miner does not call
+                     these primitives: it batches its set ops over a whole
+                     task slice (``engine_dfs.batch_count``).
 - ``PythonSetOps`` — pure-Python two-pointer merges: the scalar-CPU analog
                      used by the Peregrine/DistGraph configurations. The
                      measured gap between the two backends is this
@@ -20,8 +20,8 @@ This module ports that split:
 
 All sorted-list inputs/outputs are ascending int64 numpy arrays with unique
 elements (the CSR invariant). Every op also reports the number of element
-touches via the optional ``Counter`` so the multi-GPU scheduling simulation
-can use measured per-task work.
+touches via the optional ``Counter``: the set-op work of the generated
+kernel's run, reported as ``DFSEngine.last_ops``.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 
 class Counter:
-    """Accumulates element-touch counts (the work metric for scheduling)."""
+    """Accumulates element-touch counts (the generated kernel's set-op work)."""
 
     __slots__ = ("ops",)
 

@@ -2,9 +2,9 @@
 
 This package is the reproduction's stand-in for G2Miner's *graph loader and
 preprocessor* (paper SS4.2): loading a data graph into CSR, extracting input
-information (|V|, |E|, max degree, label frequencies) and performing
-pattern-specific preprocessing (orientation, neighbor-list sorting, vertex
-renaming, edgelist reduction).
+information (|V|, |E|, max degree) and performing pattern-specific
+preprocessing (orientation, neighbor-list sorting, edgelist reduction).
+Vertex labels stay outside the CSR: only FSM reads them (``core.fsm``).
 """
 from repro.graph.csr import CSRGraph, build_csr  # noqa: F401
 from repro.graph.gen import GRAPHS, LABELED_GRAPHS, generate_graph  # noqa: F401

@@ -33,7 +33,6 @@ class CSRGraph:
 
     indptr: np.ndarray
     indices: np.ndarray
-    labels: np.ndarray | None = None
     directed: bool = False
 
     # -- input information (paper: "extracts input information") ---------
@@ -69,8 +68,7 @@ class CSRGraph:
 
     def nbytes(self) -> int:
         """Bytes of the CSR structure — input to the device-memory model."""
-        lb = self.labels.nbytes if self.labels is not None else 0
-        return int(self.indptr.nbytes + self.indices.nbytes + lb)
+        return int(self.indptr.nbytes + self.indices.nbytes)
 
     # -- preprocessing ---------------------------------------------------
 
@@ -91,7 +89,6 @@ class CSRGraph:
         return build_csr(
             np.stack([src[keep], dst[keep]], axis=1),
             n=self.n,
-            labels=self.labels,
             directed=True,
             symmetrize=False,
         )
@@ -120,7 +117,6 @@ def build_csr(
     edges: np.ndarray,
     *,
     n: int | None = None,
-    labels: np.ndarray | None = None,
     directed: bool = False,
     symmetrize: bool = True,
 ) -> CSRGraph:
@@ -143,6 +139,5 @@ def build_csr(
     return CSRGraph(
         indptr=indptr,
         indices=np.ascontiguousarray(dst),
-        labels=labels,
         directed=directed,
     )

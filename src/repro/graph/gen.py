@@ -174,13 +174,6 @@ def generate_graph(name: str) -> tuple[np.ndarray, np.ndarray]:
     return chung_lu_edges(spec), vertex_labels(spec)
 
 
-def edges_pdf(name: str) -> pd.DataFrame:
-    """Edge list as pandas ``(src, dst)`` with ``src < dst`` (one row per
-    undirected edge) — the canonical on-disk form."""
-    e, _ = generate_graph(name)
-    return pd.DataFrame({"src": e[:, 0], "dst": e[:, 1]})
-
-
 def adj_pdf(name: str) -> pd.DataFrame:
     """Symmetric adjacency as pandas: both (u,v) and (v,u) rows.
 

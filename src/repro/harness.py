@@ -31,9 +31,8 @@ DEFAULT_TIMEOUT_S = 45.0
 @lru_cache(maxsize=None)
 def get_csr(name: str) -> CSRGraph:
     """Build (and cache) the CSR for a named data graph."""
-    edges, labels = gen.generate_graph(name)
-    lab = labels if labels.any() else None
-    return build_csr(edges, labels=lab)
+    edges, _ = gen.generate_graph(name)
+    return build_csr(edges)
 
 
 @lru_cache(maxsize=None)

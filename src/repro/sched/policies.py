@@ -5,11 +5,11 @@ policies: even-split (policy 1), round-robin (policy 2), and chunked
 round-robin (policy 3, c = alpha * warps, the generalisation of both).
 We have no GPUs; what the policies actually decide — *which tasks land on
 which device* — is hardware-independent, so we reproduce the experiment by
-assigning measured per-task costs (set-op element touches from an
-instrumented engine run) to n virtual GPUs and computing each GPU's busy
-time and the makespan. This yields the Fig 8/9/10 behaviour: even-split
-collapses on skewed graphs (one bin inherits the hubs), chunked round-robin
-scales ~linearly.
+assigning measured per-task costs (the batched kernel's candidate checks
+per task, ``DFSEngine.per_task_costs``) to n virtual GPUs and computing
+each GPU's busy time and the makespan. Chunked round-robin scales ~linearly
+and even-split trails it on a skewed graph, because contiguous slices of
+the task list carry unequal work.
 """
 from __future__ import annotations
 
@@ -17,8 +17,12 @@ import numpy as np
 
 POLICIES = ("even_split", "round_robin", "chunked_rr")
 
+#: Tasks per chunk of the chunked round-robin policy (policy 3's c): the
+#: engine's task order and the Fig 9/10 simulation both use it.
+CHUNK = 32
 
-def assign(m: int, n_gpus: int, policy: str, *, chunk: int = 64) -> np.ndarray:
+
+def assign(m: int, n_gpus: int, policy: str, *, chunk: int = CHUNK) -> np.ndarray:
     """Return bin id (0..n_gpus-1) for each of ``m`` tasks under ``policy``.
 
     - ``even_split``: n contiguous ranges of m/n tasks (policy 1).
@@ -42,7 +46,7 @@ def assign(m: int, n_gpus: int, policy: str, *, chunk: int = 64) -> np.ndarray:
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def chunked_round_robin_order(m: int, n_bins: int, *, chunk: int = 64) -> np.ndarray:
+def chunked_round_robin_order(m: int, n_bins: int, *, chunk: int = CHUNK) -> np.ndarray:
     """Permutation that gathers chunked-RR bins into contiguous runs, so a
     task array reordered by it maps onto contiguous Spark partitions with
     balanced work. Used by the engines' partition scheduling."""
@@ -57,7 +61,7 @@ def per_gpu_time(costs: np.ndarray, bins: np.ndarray, n_gpus: int) -> np.ndarray
     return out
 
 
-def simulate(costs: np.ndarray, n_gpus: int, policy: str, *, chunk: int = 64) -> dict:
+def simulate(costs: np.ndarray, n_gpus: int, policy: str, *, chunk: int = CHUNK) -> dict:
     """Simulate one multi-GPU run: per-GPU busy times, makespan, and the
     speedup vs the same policy on 1 GPU (= total work)."""
     bins = assign(len(costs), n_gpus, policy, chunk=chunk)

@@ -49,7 +49,7 @@ def test_matrix_known_entries():
 # -- decomposed counts vs direct enumeration -----------------------------
 
 def test_count3_counting_only_equals_enumeration(spark, g):
-    fast = counting.count3_counting_only(spark, g)
+    fast = counting.count3_counting_only(spark, g, engine=DFSEngine())
     slow = count_motifs(spark, g, 3, DFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert fast == slow
 
@@ -58,7 +58,7 @@ def test_count3_counting_only_equals_enumeration(spark, g):
 def test_count4_counting_only_equals_enumeration(spark, name):
     e, _ = generate_graph(name)
     gg = build_csr(e)
-    fast = counting.count4_counting_only(spark, gg)
+    fast = counting.count4_counting_only(spark, gg, engine=DFSEngine())
     slow = count_motifs(spark, gg, 4, DFSEngine(), meter=memmod.MemoryMeter(BIG))
     assert fast == slow
 
@@ -66,14 +66,14 @@ def test_count4_counting_only_equals_enumeration(spark, name):
 def test_diamond_counting_only_matches_oracle(spark, g):
     import pandas as pd
 
-    c = counting.diamond_counting_only(spark, g)
+    c = counting.diamond_counting_only(spark, g, engine=DFSEngine())
     df = spark.createDataFrame(pd.DataFrame({"cnt": [c]}))
     sql = codegen.pattern_sql(build_plan(diamond(), induced=False))
     assert_equivalent(df, sql, adj=adj_pdf("tiny_dense"))
 
 
 def test_diamond_counting_only_equals_dfs(spark, g):
-    assert counting.diamond_counting_only(spark, g) == DFSEngine().count(
+    assert counting.diamond_counting_only(spark, g, engine=DFSEngine()) == DFSEngine().count(
         spark, g, diamond(), meter=memmod.MemoryMeter(BIG)
     )
 
@@ -85,11 +85,11 @@ def test_python_backend_stats_agree(spark, g):
 
 
 def test_edge_triangle_stats_T_matches_tc(spark, g):
-    stats = counting.edge_triangle_stats(spark, g)
+    stats = counting.edge_triangle_stats(spark, g, backend="numpy")
     assert stats["T"] == DFSEngine().count(spark, g, clique(3), meter=memmod.MemoryMeter(BIG))
 
 
 def test_stats_keys(spark, g):
-    stats = counting.edge_triangle_stats(spark, g)
+    stats = counting.edge_triangle_stats(spark, g, backend="numpy")
     assert set(stats) == {"T", "diamond_non", "paw_non"}
     assert all(v >= 0 for v in stats.values())

@@ -38,8 +38,6 @@ def test_has_edge_symmetric(g):
 
 def test_nbytes_positive(g):
     assert g.nbytes() == g.indptr.nbytes + g.indices.nbytes
-    e, lab = generate_graph("tiny_labeled")
-    assert build_csr(e, labels=lab).nbytes() == build_csr(e).nbytes() + lab.nbytes
 
 
 # -- orientation (opt A) -------------------------------------------------

@@ -77,8 +77,8 @@ def test_domain_counts_do_not_depend_on_slicing(data, step):
     """The G2Miner worker's count vectors add exactly over any split of
     the domain vertices into contiguous slices, at any block step."""
     adj, labels = data
-    good, g = fsmmod._pruned_graph(adj, labels, 3)
-    graph = (g.indptr, edge_keys(g), g.labels)
+    good, g, lab = fsmmod._pruned_graph(adj, labels, 3)
+    graph = (g.indptr, edge_keys(g), lab)
     tasks = np.arange(g.n)
 
     def run(P):

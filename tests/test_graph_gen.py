@@ -7,7 +7,6 @@ from repro.graph.gen import (
     LABELED_GRAPHS,
     TEST_GRAPHS,
     adj_pdf,
-    edges_pdf,
     generate_graph,
     labels_pdf,
 )
@@ -68,7 +67,7 @@ def test_adj_pdf_symmetric():
     adj = adj_pdf("tiny")
     pairs = set(map(tuple, adj.values))
     assert all((b, a) in pairs for (a, b) in pairs)
-    assert len(adj) == 2 * len(edges_pdf("tiny"))
+    assert len(adj) == 2 * len(generate_graph("tiny")[0])
 
 
 def test_labels_pdf_shape():

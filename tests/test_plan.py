@@ -13,6 +13,7 @@ import pytest
 from repro.core.pattern import (
     Pattern, clique, cycle, diamond, motifs, path, star, tailed_triangle,
 )
+from repro.core.engine_dfs import oriented_clique_plan
 from repro.core.plan import build_plan, matching_order, symmetry_order
 
 PATTERNS = [
@@ -131,7 +132,7 @@ def test_symmetry_breaking_uniqueness(p, induced, seed):
     plan = build_plan(p, induced=induced)
     expect = count_monomorphisms(adj, plan.pattern, induced)
     got = count_with_plan(adj, plan)
-    assert got * plan.num_automorphisms == expect
+    assert got * len(plan.pattern.automorphisms()) == expect
 
 
 @pytest.mark.parametrize("p", PATTERNS, ids=lambda p: p.name)
@@ -172,6 +173,32 @@ def test_num_buffers_bounded_by_k_minus_3(p, buffers):
     plan = build_plan(p, induced=False)
     assert plan.num_buffers() == buffers
     assert plan.num_buffers() <= max(p.k - 3, 0)
+
+
+#: 86 plans: the named patterns and all 3-, 4- and 5-motifs, both
+#: semantics, plus the oriented-clique plans.
+ALL_PLANS = [
+    (f"{p.name}-{'induced' if induced else 'edge'}", build_plan(p, induced=induced))
+    for p in [clique(k) for k in (3, 4, 5, 6)] + [
+        cycle(4), cycle(5), path(4), path(5), star(3), star(4), diamond(),
+        tailed_triangle(), *motifs(3), *motifs(4), *motifs(5),
+    ]
+    for induced in (False, True)
+] + [(f"oriented-{k}-clique", oriented_clique_plan(k)) for k in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("plan", [p for _, p in ALL_PLANS], ids=[n for n, _ in ALL_PLANS])
+def test_every_deeper_level_has_a_set_op(plan):
+    """Every level i >= 2 applies at least one set op, so the kernel
+    emitter gives it its own candidate set S_i instead of looping over a
+    bare neighbour list."""
+    for i in range(2, plan.k):
+        ops = (
+            len(plan.conn[i]) - 1
+            + (len(plan.anti[i]) if plan.induced else 0)
+            + len(plan.upper[i]) + len(plan.lower[i]) + bool(plan.excl[i])
+        )
+        assert ops >= 1, f"level {i}"
 
 
 def test_symmetry_order_stabilizer_chain_on_star():
