@@ -16,8 +16,8 @@ the solution of the triangular system. This mirrors the paper's "automatic
 pattern decomposition [82]" and is property-tested against direct induced
 enumeration.
 
-The per-edge triangle statistics pass (``edge_triangle_stats``) is one
-Spark sweep (``engine_dfs.run_slices``) over the reduced edgelist
+The per-edge triangle statistics pass (``stats_launch``) is one
+sweep (an ``engine_dfs.run_slices`` launch) over the reduced edgelist
 computing, per edge (u, v): t_e = |N(u) ∩ N(v)| and the degree sums over
 the triangle apexes — enough for T, the non-induced diamond count, and the
 non-induced tailed-triangle count in a single pass (the W-buffer reuse of
@@ -32,7 +32,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.engine_dfs import (
-    MAX_STEP, DFSEngine, chunks, edge_keys, expand, member, run_slices,
+    MAX_STEP, DFSEngine, Launch, chunks, edge_keys, expand, member, run_slices,
 )
 from repro.core.pattern import Pattern, clique, cycle, motifs
 from repro.core.setops import BACKENDS
@@ -108,10 +108,8 @@ def _stats_scalar(backend: str, graph, tasks):
     return t_sum, d_sum, paw3
 
 
-def edge_triangle_stats(
-    spark: SparkSession, csr: CSRGraph, *, backend: str
-) -> dict[str, int]:
-    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}.
+def stats_launch(csr: CSRGraph, *, backend: str) -> Launch:
+    """The stats sweep's launch over the reduced edgelist (``run_slices``).
 
     The ``numpy`` backend sweeps each device's slice with the batched
     kernel's code; the ``python`` backend (Peregrine) keeps a scalar
@@ -119,15 +117,21 @@ def edge_triangle_stats(
     """
     tasks = csr.edge_tasks("gt")
     if backend == "numpy":
-        graph, worker = (csr.indptr, edge_keys(csr)), _stats_batch
-    else:
-        graph, worker = (csr.indptr, csr.indices), partial(_stats_scalar, backend)
-    t_sum, d_sum, paw3 = run_slices(spark, graph, tasks, worker)
-    return {
-        "T": t_sum // 3,
-        "diamond_non": d_sum,
-        "paw_non": paw3 // 3,
-    }
+        return (csr.indptr, edge_keys(csr)), tasks, _stats_batch
+    return (csr.indptr, csr.indices), tasks, partial(_stats_scalar, backend)
+
+
+def _stats(vec: tuple[int, ...]) -> dict[str, int]:
+    t_sum, d_sum, paw3 = vec
+    return {"T": t_sum // 3, "diamond_non": d_sum, "paw_non": paw3 // 3}
+
+
+def edge_triangle_stats(
+    spark: SparkSession, csr: CSRGraph, *, backend: str
+) -> dict[str, int]:
+    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}."""
+    (vec,) = run_slices(spark, [stats_launch(csr, backend=backend)])
+    return _stats(vec)
 
 
 def count3_counting_only(
@@ -146,12 +150,15 @@ def count4_counting_only(
 ) -> dict[str, int]:
     """All six induced 4-motif counts from decompositions + two real
     enumerations (4-clique, 4-cycle); the stats sweep uses the engine's
-    set-op backend."""
-    stats = edge_triangle_stats(spark, csr, backend=engine.cfg.setops)
+    set-op backend. The sweep and both kernels launch in one Spark job."""
+    # 4-cycle has no decomposition (SS5.4).
+    kernels = engine.launches(csr, [clique(4), cycle(4)])
+    vec, (k4, _), (c4_non, _) = run_slices(
+        spark, [stats_launch(csr, backend=engine.cfg.setops), *kernels]
+    )
+    stats = _stats(vec)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
-    k4 = engine.count(spark, csr, clique(4))
-    c4_non = engine.count(spark, csr, cycle(4))  # no decomposition (SS5.4)
     claw_non = int((deg * (deg - 1) * (deg - 2) // 6).sum())
     # Non-induced P4: sum over undirected edges of (d_u-1)(d_v-1) - 3T.
     e = csr.edge_tasks("gt")

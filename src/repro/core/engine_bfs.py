@@ -142,6 +142,20 @@ class BFSEngine:
             for key in allocated:
                 meter.free(key)
 
+    def count_many(
+        self,
+        spark: SparkSession,
+        csr: CSRGraph,
+        patterns: list[Pattern],
+        *,
+        induced: bool = False,
+        meter: memmod.MemoryMeter | None = None,
+    ) -> list[int]:
+        """``count`` each pattern in turn on the shared ``meter``: a BFS
+        system materialises each pattern's subgraph lists level by level,
+        one Spark job per level, so its patterns share no job."""
+        return [self.count(spark, csr, p, induced=induced, meter=meter) for p in patterns]
+
     def _extend(
         self,
         level: DataFrame,

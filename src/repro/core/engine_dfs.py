@@ -6,6 +6,10 @@ the Spark dataflow model):
 - *Tasks* are edges or root vertices: a numpy task array, broadcast once
   with the graph. ``run_slices`` gives each Spark partition one
   contiguous slice of it: one Spark task = one "GPU".
+- A cell is one Spark job, a plain RDD job. The GPU loads the graph once
+  and launches the cell's kernels back to back (``count_many``: one kernel
+  per pattern for k-MC), so each device runs every launch of the cell on
+  its slices in turn, with no host round trip between kernels.
 - G2Miner runs one *batched kernel* (``batch_count``) over the device's
   whole slice, one pattern level at a time: an expansion step over the
   slice is the set of warps, each candidate check one warp lane's work.
@@ -253,39 +257,43 @@ def _vertex_worker(kernel_src: str, backend: str, graph, tasks):
     return total, ctr.ops
 
 
-def run_slices(
-    spark: SparkSession, graph, tasks: np.ndarray, worker: Callable
-) -> tuple[int, ...]:
-    """Run ``worker(graph, slice)`` on every device's task slice and sum
-    the returned int64 vectors element-wise.
+#: One kernel launch: ``(graph, tasks, worker)``; see ``run_slices``.
+Launch = tuple[object, np.ndarray, Callable]
 
-    One Spark task is one GPU. ``graph`` and the already scheduled
-    ``tasks`` are broadcast once; partition p of ``spark.range(P)``
-    (P = ``defaultParallelism``) runs contiguous slice p of ``ceil(m/P)``
-    tasks, the assignment Arrow slicing of a task frame would give. Each
-    device returns one vector (a tuple of counts or a count table) as one
-    binary cell; the P vectors are collected and summed on the driver, so
-    there is no task DataFrame and no shuffle stage.
+
+def run_slices(spark: SparkSession, launches: list[Launch]) -> list[tuple[int, ...]]:
+    """Run a cell's kernel launches as one Spark job; return, per launch,
+    the element-wise sum of its devices' int64 vectors.
+
+    One Spark task is one GPU. Partition p of ``P = defaultParallelism``
+    runs every launch in list order, back to back as a GPU launches its
+    kernels with no host round trip between them: ``worker(graph, slice)``
+    on contiguous slice p of ``ceil(m/P)`` of the launch's already
+    scheduled ``tasks``, returning one vector (a tuple of counts or a count
+    table). Graphs and task arrays are broadcast once, with plain pickle,
+    so a graph object shared by several launches is stored once; workers
+    travel in the job's closure. The job is a plain RDD job, not a
+    DataFrame: it is no relational operator, so there is no task frame, no
+    Arrow encoding and no shuffle stage, and the P per-device lists are
+    collected and summed on the driver.
     """
     sc = spark.sparkContext
     P = sc.defaultParallelism
-    size = -(-len(tasks) // P)
-    bc = sc.broadcast((graph, tasks))
+    sizes = [-(-len(tasks) // P) for _, tasks, _ in launches]
+    workers = [worker for _, _, worker in launches]
+    bc = sc.broadcast([(graph, tasks) for graph, tasks, _ in launches])
 
-    def device(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        graph, tasks = bc.value
-        for pdf in batches:
-            for p in pdf["id"].tolist():
-                out = worker(graph, tasks[p * size : (p + 1) * size])
-                vec = np.asarray(out, dtype=np.int64).tobytes()
-                yield pd.DataFrame({"vec": [vec]})
+    def device(p: int, _) -> Iterator[list[np.ndarray]]:
+        yield [
+            np.asarray(worker(graph, tasks[p * size : (p + 1) * size]), dtype=np.int64)
+            for (graph, tasks), size, worker in zip(bc.value, sizes, workers)
+        ]
 
     try:
-        rows = spark.range(P, numPartitions=P).mapInPandas(device, "vec binary").collect()
+        rows = sc.parallelize(range(P), P).mapPartitionsWithIndex(device).collect()
     finally:
         bc.unpersist()
-    vecs = [np.frombuffer(r[0], dtype=np.int64) for r in rows]
-    return tuple(np.sum(vecs, axis=0).tolist())
+    return [tuple(np.sum(vecs, axis=0).tolist()) for vecs in zip(*rows)]
 
 
 class DFSEngine:
@@ -313,50 +321,90 @@ class DFSEngine:
         induced: bool = False,
         meter: memmod.MemoryMeter | None = None,
     ) -> int:
-        """Count matches of ``pattern`` in the data graph.
+        """Count matches of ``pattern`` in the data graph: the one-pattern
+        case of ``count_many``.
 
         ``induced=True`` counts vertex-induced matches (k-MC semantics),
         else edge-induced/monomorphism matches up to automorphism
         (TC/k-CL/SL semantics).
         """
+        return self.count_many(spark, csr, [pattern], induced=induced, meter=meter)[0]
+
+    def count_many(
+        self,
+        spark: SparkSession,
+        csr: CSRGraph,
+        patterns: list[Pattern],
+        *,
+        induced: bool = False,
+        meter: memmod.MemoryMeter | None = None,
+    ) -> list[int]:
+        """Count each pattern's matches with one kernel per pattern, all
+        launched in one Spark job (``run_slices``). ``last_ops`` is the
+        set-op work summed over the kernels."""
+        out = run_slices(spark, self.launches(csr, patterns, induced=induced, meter=meter))
+        self.last_ops = sum(ops for _, ops in out)
+        return [cnt for cnt, _ in out]
+
+    def launches(
+        self,
+        csr: CSRGraph,
+        patterns: list[Pattern],
+        *,
+        induced: bool = False,
+        meter: memmod.MemoryMeter | None = None,
+    ) -> list[Launch]:
+        """Plan one kernel launch per pattern; each worker returns
+        ``(count, ops)``.
+
+        The device runs the kernels one after another, so each is planned
+        on the ledger alone, in that order: its graph, its tasks and its
+        buffers are charged, and freed before the next. The peak and any
+        OoM are those of running the patterns one at a time. A graph that
+        several kernels search is built and broadcast once.
+        """
         meter = meter or memmod.MemoryMeter(self.budget)
-        g, plan = self._graph_and_plan(csr, pattern, induced)
-        meter.alloc("csr", g.nbytes())
-        try:
-            if self._gpu:
-                tasks = self._edge_tasks(g, plan)
-                # Input-aware Omega management (SS5.1 + SS7.2): when the
-                # symmetry order does not cover (v0, v1) the edgelist
-                # cannot be reduced, and a full Omega may not fit the
-                # device budget next to G. The paper's escape hatch is the
-                # vertex-parallel mode, "in which case Omega is not
-                # generated to save memory": the same kernel on root tasks.
-                if meter.resident + tasks.nbytes > meter.budget:
+        graphs: dict[int, tuple] = {}  # id(g) -> the broadcast form of g
+        out = []
+        for pattern in patterns:
+            g, plan = self._graph_and_plan(csr, pattern, induced)
+            meter.alloc("csr", g.nbytes())
+            try:
+                if self._gpu:
+                    tasks = self._edge_tasks(g, plan)
+                    # Input-aware Omega management (SS5.1 + SS7.2): when the
+                    # symmetry order does not cover (v0, v1) the edgelist
+                    # cannot be reduced, and a full Omega may not fit the
+                    # device budget next to G. The paper's escape hatch is
+                    # the vertex-parallel mode, "in which case Omega is not
+                    # generated to save memory": the same kernel on root tasks.
+                    if meter.resident + tasks.nbytes > meter.budget:
+                        tasks = np.arange(g.n, dtype=np.int64)
+                    meter.alloc("tasks", tasks.nbytes)
+                    step = self._frontier_step(meter, plan.k)
+                    worker = partial(_batch_worker, plan, step)
+                else:
                     tasks = np.arange(g.n, dtype=np.int64)
-                meter.alloc("tasks", tasks.nbytes)
-                step = self._frontier_step(meter, plan.k)
-                # The keys replace indices: the same bytes as the "csr" charge.
-                graph = (g.indptr, edge_keys(g))
-                worker = partial(_batch_worker, plan, step)
-            else:
-                tasks = np.arange(g.n, dtype=np.int64)
-                kernel_src = codegen.kernel_source(plan, "vertex")
-                # Adaptive buffering (opt K): X buffers of Delta words per
-                # concurrent warp (= partition here).
-                meter.alloc("tasks", tasks.nbytes)
-                meter.alloc(
-                    "buffers",
-                    plan.num_buffers() * g.max_degree * 8 * DFSConfig.num_partitions,
-                )
-                graph = (g.indptr, g.indices)
-                worker = partial(_vertex_worker, kernel_src, self.cfg.setops)
-            cnt, ops = run_slices(spark, graph, self._schedule(tasks), worker)
-            self.last_ops = ops
-            return cnt
-        finally:
-            meter.free("csr")
-            meter.free("tasks")
-            meter.free("buffers")
+                    kernel_src = codegen.kernel_source(plan, "vertex")
+                    # Adaptive buffering (opt K): X buffers of Delta words per
+                    # concurrent warp (= partition here).
+                    meter.alloc("tasks", tasks.nbytes)
+                    meter.alloc(
+                        "buffers",
+                        plan.num_buffers() * g.max_degree * 8 * DFSConfig.num_partitions,
+                    )
+                    worker = partial(_vertex_worker, kernel_src, self.cfg.setops)
+                # g is csr or its memoised orientation, so its id is stable
+                # for the call. G2Miner's keys replace indices: the same
+                # bytes as the "csr" charge.
+                if id(g) not in graphs:
+                    graphs[id(g)] = (g.indptr, edge_keys(g) if self._gpu else g.indices)
+                out.append((graphs[id(g)], self._schedule(tasks), worker))
+            finally:
+                meter.free("csr")
+                meter.free("tasks")
+                meter.free("buffers")
+        return out
 
     def count_df(self, spark: SparkSession, csr: CSRGraph, pattern: Pattern, **kw):
         """Count wrapped as a one-row DataFrame (column ``cnt``) so results

@@ -308,9 +308,9 @@ def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
         L = len(good)
         meter.alloc("histogram", g.n * L * 8)
         step = buffer_step(meter, 1, DFSConfig.num_partitions)
-        vec = run_slices(
-            spark, (g.indptr, edge_keys(g), lab), np.arange(g.n),
-            partial(_domain_worker, L, step),
+        (vec,) = run_slices(
+            spark, [((g.indptr, edge_keys(g), lab), np.arange(g.n),
+                     partial(_domain_worker, L, step))],
         )
         return _supports(np.array(vec, dtype=np.int64), good, sigma)
     finally:

@@ -16,7 +16,7 @@ Preprocessing ports:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class CSRGraph:
     indptr: np.ndarray
     indices: np.ndarray
     directed: bool = False
+    _oriented: "CSRGraph | None" = field(default=None, init=False, repr=False, compare=False)
 
     # -- input information (paper: "extracts input information") ---------
     @property
@@ -77,21 +78,25 @@ class CSRGraph:
 
         Produces a DAG whose out-degree is bounded by the graph degeneracy
         neighborhood — the classic clique preprocessing. Must be called on
-        the symmetric graph.
+        the symmetric graph. The DAG is built once per graph and kept on
+        the instance: the graph is immutable, and every clique query on it
+        searches the same DAG.
         """
         if self.directed:
             raise ValueError("orient() expects the symmetric graph")
-        deg = self.degrees
-        src = np.repeat(np.arange(self.n), deg)
-        dst = self.indices
-        rank = np.argsort(np.argsort(deg * (self.n + 1) + np.arange(self.n)))
-        keep = rank[src] < rank[dst]
-        return build_csr(
-            np.stack([src[keep], dst[keep]], axis=1),
-            n=self.n,
-            directed=True,
-            symmetrize=False,
-        )
+        if self._oriented is None:
+            deg = self.degrees
+            src = np.repeat(np.arange(self.n), deg)
+            dst = self.indices
+            rank = np.argsort(np.argsort(deg * (self.n + 1) + np.arange(self.n)))
+            keep = rank[src] < rank[dst]
+            self._oriented = build_csr(
+                np.stack([src[keep], dst[keep]], axis=1),
+                n=self.n,
+                directed=True,
+                symmetrize=False,
+            )
+        return self._oriented
 
     def edge_tasks(self, mode: str = "all") -> np.ndarray:
         """The task edgelist Omega (SS7.1) as an ``(m, 2)`` array.

@@ -142,7 +142,7 @@ def test_edge_keys_are_sorted_rows(g):
 def test_run_slices_covers_every_task_once(spark, m):
     P = spark.sparkContext.defaultParallelism
     tasks = np.arange(m, dtype=np.int64)
-    n, s = run_slices(spark, 10, tasks, lambda graph, t: (len(t), int(t.sum()) + graph))
+    [(n, s)] = run_slices(spark, [(10, tasks, lambda graph, t: (len(t), int(t.sum()) + graph))])
     assert n == m
     assert s == m * (m - 1) // 2 + 10 * P  # every device ran, once
 
@@ -159,7 +159,7 @@ def test_run_slices_sums_vectors_elementwise(spark, m):
         vec[-1] += graph
         return vec
 
-    got = run_slices(spark, 1 << 40, tasks, worker)
+    [got] = run_slices(spark, [(1 << 40, tasks, worker)])
     want = np.zeros(1000, dtype=np.int64)
     np.add.at(want, tasks % 1000, tasks)
     want[-1] += (1 << 40) * P
@@ -168,8 +168,8 @@ def test_run_slices_sums_vectors_elementwise(spark, m):
 
 def test_run_slices_edge_tasks(spark, g):
     tasks = g.edge_tasks("lt")
-    got = run_slices(spark, 0, tasks, lambda graph, t: (len(t), int(t[:, 1].sum())))
-    assert got == (len(tasks), int(tasks[:, 1].sum()))
+    got = run_slices(spark, [(0, tasks, lambda graph, t: (len(t), int(t[:, 1].sum())))])
+    assert got == [(len(tasks), int(tasks[:, 1].sum()))]
 
 
 def test_run_slices_gives_contiguous_slices(spark):
@@ -182,7 +182,19 @@ def test_run_slices_gives_contiguous_slices(spark):
                              and t[0] % size == 0)
         return (int(ok),)
 
-    assert run_slices(spark, None, tasks, worker) == (P,)
+    assert run_slices(spark, [(None, tasks, worker)]) == [(P,)]
+
+
+def test_run_slices_runs_each_launch_on_its_own_tasks(spark):
+    """Launches of different task lengths in one job: each covers every
+    one of its own tasks once, with its own graph."""
+    P = spark.sparkContext.defaultParallelism
+    a, b = np.arange(7, dtype=np.int64), np.arange(1001, 3001, dtype=np.int64)
+    got = run_slices(spark, [
+        (1, a, lambda graph, t: (len(t), int(t.sum()), graph)),
+        (2, b, lambda graph, t: (len(t), int(t.sum()), graph)),
+    ])
+    assert got == [(7, 21, P), (2000, int(b.sum()), 2 * P)]
 
 
 # -- counting sweep, config, ledger --------------------------------------

@@ -76,6 +76,10 @@ def test_orient_requires_symmetric(g):
         g.orient().orient()
 
 
+def test_orient_built_once_per_graph(g):
+    assert g.orient() is g.orient()
+
+
 # -- task edgelist Omega (opt J) -----------------------------------------
 
 def test_edge_tasks_all(g):

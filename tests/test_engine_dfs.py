@@ -82,6 +82,24 @@ def test_vertex_fallback_keeps_g2miner_schedule(spark, g, monkeypatch):
     assert len(orders) == 2  # the CPU setting keeps natural order
 
 
+@pytest.mark.parametrize("fallback", [False, True], ids=["big", "fallback"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_count_many_keeps_the_ledger(spark, k, fallback):
+    """One job for all patterns leaves the counts, the ledger's peak and
+    the set-op work of counting them one at a time on a shared meter."""
+    g = build_csr(generate_graph("tiny")[0])
+    budget = g.nbytes() + g.edge_tasks("all").nbytes - 1 if fallback else BIG
+    eng, seq = DFSEngine(), memmod.MemoryMeter(budget)
+    want, ops = [], 0
+    for p in motifs(k):
+        want.append(eng.count(spark, g, p, induced=True, meter=seq))
+        ops += eng.last_ops
+    meter = memmod.MemoryMeter(budget)
+    assert eng.count_many(spark, g, motifs(k), induced=True, meter=meter) == want
+    assert (meter.peak, eng.last_ops) == (seq.peak, ops)
+    assert meter.resident == 0
+
+
 def test_oom_raised_on_tiny_budget(spark, g):
     with pytest.raises(memmod.OutOfMemoryError):
         DFSEngine().count(spark, g, clique(3), meter=memmod.MemoryMeter(64))

@@ -74,12 +74,38 @@ def test_counting_sweep_follows_engine_setops(spark, monkeypatch, system, scalar
     monkeypatch.setattr(counting, "_stats_scalar",
                         lambda *a: calls.append(a[0]) or real(*a))
     # Run each device's slice on the driver, where the counter lives.
-    monkeypatch.setattr(counting, "run_slices",
-                        lambda spark, graph, tasks, worker: worker(graph, tasks))
+    monkeypatch.setattr(counting, "run_slices", lambda spark, launches: [
+        worker(graph, tasks) for graph, tasks, worker in launches])
     r = run_cell(spark, system, ("counting", "diamond"), "tiny", timeout_s=60)
     assert r.status == "ok"
     assert r.value == run_cell(spark, "GraphZero", ("sl", "diamond"), "tiny").value
     assert calls == (["python"] if scalar else [])
+
+
+@pytest.mark.parametrize("system,workload", [
+    ("G2Miner", ("tc",)), ("G2Miner", ("mc", 3)), ("G2Miner", ("mc", 4)),
+    ("G2Miner", ("counting", "4-motif")), ("Peregrine", ("mc", 3)),
+])
+def test_dfs_cell_is_one_spark_job(spark, monkeypatch, system, workload):
+    """A DFS cell launches all its kernels in one Spark job, as the GPU
+    launches a cell's kernels back to back."""
+    sc = spark.sparkContext
+    groups = []
+    real = harness.run_with_timeout
+
+    def recording(spark, fn, timeout_s):
+        def body():
+            groups.append(sc.getLocalProperty("spark.jobGroup.id"))
+            return fn()
+
+        return real(spark, body, timeout_s)
+
+    monkeypatch.setattr(harness, "run_with_timeout", recording)
+    r = run_cell(spark, system, workload, "tiny", timeout_s=60)
+    assert r.status == "ok"
+    # Job events reach the status store through the listener bus.
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup(groups[0])) == 1
 
 
 def load_bench_common():
