@@ -33,14 +33,14 @@ def _emit_level(plan: SearchPlan, i: int, lines: list[str], ind: str,
     The candidate set starts as ``N{conn[i][0]}`` and each of the level's
     constraints is one set-op call on it: intersect with the other
     pattern neighbours, difference with the non-neighbours (vertex-induced
-    only), the symmetry bounds, then the identity exclusions. The leaf
-    counts its set with ``len`` (the paper's counting at the leaf); any
-    other level loops over it.
+    only), the symmetry bounds (``bound_lower``: the plan's only kind of
+    bound), then the identity exclusions. The leaf counts its set with
+    ``len`` (the paper's counting at the leaf); any other level loops over
+    it.
     """
     calls = [("intersect", f"N{j}") for j in plan.conn[i][1:]]
     if plan.induced:
         calls += [("difference", f"N{j}") for j in plan.anti[i]]
-    calls += [("bound_upper", f"v{j}") for j in plan.upper[i]]
     calls += [("bound_lower", f"v{j}") for j in plan.lower[i]]
     if plan.excl[i]:
         calls.append(("remove", "(" + ", ".join(f"v{j}" for j in plan.excl[i]) + ",)"))
@@ -106,7 +106,8 @@ def pattern_sql(plan: SearchPlan) -> str:
     The query introduces data vertices in matching order: v0, v1 come from
     the first adjacency row; each later level joins one adjacency row per
     pattern edge, adds NOT EXISTS per anti-edge (vertex-induced only),
-    and symmetry/exclusion predicates. Returns one row ``cnt``.
+    and exclusion predicates; then one ``v_j < v_i`` per symmetry bound.
+    Returns one row ``cnt``.
     """
     k = plan.k
     if k < 2:
@@ -133,8 +134,8 @@ def pattern_sql(plan: SearchPlan) -> str:
                 )
         for j in plan.excl[i]:
             preds.append(f"{v[i]} <> {v[j]}")
-    for (i, j) in plan.sym:
-        preds.append(f"{v[i]} < {v[j]}")
+    for i in range(1, k):
+        preds += [f"{v[j]} < {v[i]}" for j in plan.lower[i]]
     where = ("\nWHERE " + "\n  AND ".join(preds)) if preds else ""
     return (
         "SELECT COUNT(*) AS cnt\nFROM "

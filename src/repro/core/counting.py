@@ -32,7 +32,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.engine_dfs import (
-    MAX_STEP, DFSEngine, Launch, chunks, edge_keys, expand, member, run_slices,
+    MAX_STEP, DFSEngine, Launch, chunks, expand, member, run_slices,
 )
 from repro.core.pattern import Pattern, clique, cycle, motifs
 from repro.core.setops import BACKENDS
@@ -117,7 +117,7 @@ def stats_launch(csr: CSRGraph, *, backend: str) -> Launch:
     """
     tasks = csr.edge_tasks("gt")
     if backend == "numpy":
-        return (csr.indptr, edge_keys(csr)), tasks, _stats_batch
+        return (csr.indptr, csr.edge_keys()), tasks, _stats_batch
     return (csr.indptr, csr.indices), tasks, partial(_stats_scalar, backend)
 
 

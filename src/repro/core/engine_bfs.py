@@ -29,9 +29,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro import memory as memmod
-from repro.core.engine_dfs import oriented_clique_plan
 from repro.core.pattern import Pattern
-from repro.core.plan import SearchPlan, build_plan
+from repro.core.plan import SearchPlan, build_plan, oriented_clique_plan
 from repro.graph.csr import CSRGraph
 
 
@@ -106,13 +105,12 @@ class BFSEngine:
             whole = adj.withColumn("p", F.pmod(F.hash("src"), F.lit(P)))
             adj_parts = [whole.filter(F.col("p") == i).drop("p") for i in range(P)]
 
-        # Level-1 subgraph list: the edge list with the v0/v1 symmetry
-        # constraint applied on the fly (the baselines filter rather than
-        # pre-reduce Omega — opt J is G2Miner-only).
+        # Level-1 subgraph list: the edge list with v1's symmetry bound
+        # applied on the fly (the baselines filter rather than pre-reduce
+        # Omega — opt J is G2Miner-only).
         level = adj.select(F.col("src").alias("v0"), F.col("dst").alias("v1"))
-        for (i, j) in plan.sym:
-            if i <= 1 and j <= 1:
-                level = level.filter(F.col(f"v{i}") < F.col(f"v{j}"))
+        for j in plan.lower[1]:
+            level = level.filter(F.col(f"v{j}") < F.col("v1"))
 
         persisted: list[DataFrame] = []
         allocated = ["csr", "csr_symmetric", "edgelist"]
@@ -206,8 +204,6 @@ class BFSEngine:
                     & (F.col(f"v{lvl}") == F.col("_ad")),
                     "left_anti",
                 )
-        for j in plan.upper[lvl]:
-            out = out.filter(F.col(f"v{lvl}") < F.col(f"v{j}"))
         for j in plan.lower[lvl]:
             out = out.filter(F.col(f"v{lvl}") > F.col(f"v{j}"))
         for j in plan.excl[lvl]:

@@ -16,20 +16,20 @@ the Spark dataflow model):
   Level-at-a-time inside a slice is the bounded BFS of opt M, and the step
   is sized from the device-memory ledger (opt K); across steps the search
   stays depth first. Membership is a ``searchsorted`` into the row-major
-  edge keys ``u*n+v``, broadcast in place of the neighbour indices. Its
-  tasks are the edgelist Omega, reduced (opt J) when the symmetry order
-  covers (v0, v1); when Omega would not fit the device budget next to the
-  graph, they are the root vertices and Omega is never kept (the
-  vertex-parallel mode of SS5.1).
+  edge keys ``u*n+v`` (``CSRGraph.edge_keys``), broadcast in place of the
+  neighbour indices. Its tasks are the edgelist Omega, reduced (opt J) to
+  v0 < v1 when the symmetry order bounds v1 by v0; when Omega would not
+  fit the device budget next to the graph, they are the root vertices and
+  Omega is never kept (the vertex-parallel mode of SS5.1).
 - The CPU systems run the pattern's *generated kernel* (codegen.py) root
   vertex by root vertex with that system's set-op backend, their
   documented strategy.
 - G2Miner's cliques of every size run on the oriented graph (opt A) with
-  ``oriented_clique_plan`` on DAG-edge tasks: each level's candidates come
-  from the intersection of the earlier out-neighbourhoods, a search inside
-  the (v0, v1) local graph (the role of the paper's LGS, opt E) with
-  membership tested on the sorted edge keys in place of a dense bitmap
-  (opt F).
+  the analyzer's ``oriented_clique_plan`` (``core.plan``) on DAG-edge
+  tasks: each level's candidates come from the intersection of the earlier
+  out-neighbourhoods, a search inside the (v0, v1) local graph (the role
+  of the paper's LGS, opt E) with membership tested on the sorted edge
+  keys in place of a dense bitmap (opt F).
 
 ``DFSConfig.parallelism`` picks the whole bundle. ``"edge"`` is G2Miner on
 the GPU: the batched kernel, orientation for cliques, tasks pre-permuted
@@ -54,8 +54,8 @@ from pyspark.sql import SparkSession
 
 from repro import memory as memmod
 from repro.core import codegen
-from repro.core.pattern import Pattern, clique
-from repro.core.plan import SearchPlan, build_plan
+from repro.core.pattern import Pattern
+from repro.core.plan import SearchPlan, build_plan, oriented_clique_plan
 from repro.core.setops import BACKENDS, Counter
 from repro.graph.csr import CSRGraph
 from repro.sched.policies import CHUNK, chunked_round_robin_order
@@ -87,24 +87,6 @@ class DFSConfig:
             )
 
 
-def oriented_clique_plan(k: int) -> SearchPlan:
-    """Search plan for a k-clique on the *oriented* graph: every level
-    intersects all earlier out-neighborhoods; the DAG replaces all
-    symmetry bounds and on-the-fly checks (opt A's payoff)."""
-    p = clique(k)
-    empt = tuple(() for _ in range(k))
-    return SearchPlan(
-        pattern=p,
-        sym=(),
-        conn=tuple(tuple(range(i)) for i in range(k)),
-        anti=empt,
-        upper=empt,
-        lower=empt,
-        excl=empt,
-        induced=False,
-    )
-
-
 # -- batched kernel (G2Miner) --------------------------------------------
 
 #: Most candidates one batched expansion may hold: the cap on the frontier
@@ -120,16 +102,6 @@ def buffer_step(meter: memmod.MemoryMeter, words: int, devices: int) -> int:
     step = max(1, min(MAX_STEP, (meter.budget - meter.resident) // per))
     meter.alloc("buffers", step * per)
     return step
-
-
-def edge_keys(g: CSRGraph) -> np.ndarray:
-    """Row-major edge keys ``u * n + v``, ascending.
-
-    The same bytes as ``g.indices``, in a form that one ``searchsorted``
-    probes for any edge: row u's neighbour list is
-    ``keys[indptr[u]:indptr[u+1]] - u * n``.
-    """
-    return np.repeat(np.arange(g.n, dtype=np.int64) * g.n, g.degrees) + g.indices
 
 
 def chunks(lens: np.ndarray, step: int) -> Iterator[tuple[int, int]]:
@@ -177,11 +149,11 @@ def batch_count(
     ``tasks`` are the first rows of the search: a 1-D array of root
     vertices (the vertex-parallel mode of SS5.1, where level 1 expands
     ``N(v0)``), or an ``(m, 2)`` edgelist that already meets level 1's
-    bounds (``DFSEngine._edge_tasks``).
+    bound (``DFSEngine._edge_tasks``).
 
     Level at a time over the whole slice (opt M's bounded BFS): level i
-    expands the neighbours of ``conn[i][0]`` that ``upper``/``lower``
-    leave, for at most ``step`` candidates at once, masks ``excl``, and
+    expands the neighbours of ``conn[i][0]`` above its ``lower`` bounds,
+    for at most ``step`` candidates at once, masks ``excl``, and
     checks the other ``conn`` members (and the ``anti`` members of a
     vertex-induced plan) with one ``searchsorted`` each; the leaf sums
     the mask, or counts pairs when ``plan.leaf_reuse()``. Across steps the
@@ -200,14 +172,12 @@ def batch_count(
     def level(cols: list[np.ndarray], i: int) -> int:
         nonlocal touches
         u = cols[plan.conn[i][0]]
-        # Set bounding (SS6.1): on a sorted list a bound is a range, found
-        # by one searchsorted per row, so bounded-out candidates are never
-        # expanded.
+        # Set bounding (SS6.1): on a sorted list a lower bound is a
+        # suffix, found by one searchsorted per row, so bounded-out
+        # candidates are never expanded.
         start, end = indptr[u], indptr[u + 1]
         for j in plan.lower[i]:
             start = np.maximum(start, np.searchsorted(keys, u * n + cols[j], "right"))
-        for j in plan.upper[i]:
-            end = np.minimum(end, np.searchsorted(keys, u * n + cols[j]))
         lens = np.maximum(end - start, 0)
         checks = [(j, True) for j in plan.conn[i][1:]]
         if plan.induced:
@@ -361,10 +331,10 @@ class DFSEngine:
         on the ledger alone, in that order: its graph, its tasks and its
         buffers are charged, and freed before the next. The peak and any
         OoM are those of running the patterns one at a time. A graph that
-        several kernels search is built and broadcast once.
+        several kernels search is built once and, since pickle stores an
+        array once however many launches hold it, broadcast once.
         """
         meter = meter or memmod.MemoryMeter(self.budget)
-        graphs: dict[int, tuple] = {}  # id(g) -> the broadcast form of g
         out = []
         for pattern in patterns:
             g, plan = self._graph_and_plan(csr, pattern, induced)
@@ -373,7 +343,7 @@ class DFSEngine:
                 if self._gpu:
                     tasks = self._edge_tasks(g, plan)
                     # Input-aware Omega management (SS5.1 + SS7.2): when the
-                    # symmetry order does not cover (v0, v1) the edgelist
+                    # symmetry order does not bound v1 by v0 the edgelist
                     # cannot be reduced, and a full Omega may not fit the
                     # device budget next to G. The paper's escape hatch is
                     # the vertex-parallel mode, "in which case Omega is not
@@ -394,12 +364,10 @@ class DFSEngine:
                         plan.num_buffers() * g.max_degree * 8 * DFSConfig.num_partitions,
                     )
                     worker = partial(_vertex_worker, kernel_src, self.cfg.setops)
-                # g is csr or its memoised orientation, so its id is stable
-                # for the call. G2Miner's keys replace indices: the same
-                # bytes as the "csr" charge.
-                if id(g) not in graphs:
-                    graphs[id(g)] = (g.indptr, edge_keys(g) if self._gpu else g.indices)
-                out.append((graphs[id(g)], self._schedule(tasks), worker))
+                # G2Miner's keys replace indices: the same bytes as the
+                # "csr" charge.
+                graph = (g.indptr, g.edge_keys() if self._gpu else g.indices)
+                out.append((graph, self._schedule(tasks), worker))
             finally:
                 meter.free("csr")
                 meter.free("tasks")
@@ -427,12 +395,11 @@ class DFSEngine:
 
     @staticmethod
     def _edge_tasks(g: CSRGraph, plan: SearchPlan) -> np.ndarray:
-        """Task edgelist Omega, reduced (opt J) to the direction that level
-        1's symmetry bound keeps when the symmetry order covers (v0, v1).
-        An oriented graph's DAG edges already are a reduced list."""
-        if not plan.first_edge_reduced():
-            return g.edge_tasks("all")
-        return g.edge_tasks("lt" if (0, 1) in plan.sym else "gt")
+        """Task edgelist Omega, reduced (opt J) to the edges with v0 < v1
+        when level 1 is bounded below by v0; the symmetry order has no
+        other bound on (v0, v1). An oriented graph's DAG edges already are
+        a reduced list."""
+        return g.edge_tasks("lt" if plan.first_edge_reduced() else "all")
 
     @staticmethod
     def _frontier_step(meter: memmod.MemoryMeter, k: int) -> int:
@@ -459,7 +426,7 @@ class DFSEngine:
         plus one per task."""
         g, plan = self._graph_and_plan(csr, pattern, induced)
         tasks = self._edge_tasks(g, plan)
-        keys = edge_keys(g)
+        keys = g.edge_keys()
         return np.array(
             [batch_count(plan, g.indptr, keys, tasks[t : t + 1], MAX_STEP)[1] + 1
              for t in range(len(tasks))],

@@ -45,7 +45,7 @@ from pyspark.sql import SparkSession
 
 from repro import memory as memmod
 from repro.core.engine_dfs import (
-    DFSConfig, buffer_step, chunks, edge_keys, expand, member, run_slices,
+    DFSConfig, buffer_step, chunks, expand, member, run_slices,
 )
 from repro.graph.csr import CSRGraph, build_csr
 
@@ -309,7 +309,7 @@ def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
         meter.alloc("histogram", g.n * L * 8)
         step = buffer_step(meter, 1, DFSConfig.num_partitions)
         (vec,) = run_slices(
-            spark, [((g.indptr, edge_keys(g), lab), np.arange(g.n),
+            spark, [((g.indptr, g.edge_keys(), lab), np.arange(g.n),
                      partial(_domain_worker, L, step))],
         )
         return _supports(np.array(vec, dtype=np.int64), good, sigma)

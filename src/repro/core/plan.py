@@ -4,11 +4,11 @@ the per-level constraint sets that together form the *search plan*.
 A ``SearchPlan`` is the intermediate representation the code generator
 consumes (SS5): for each level i it records which earlier levels to
 intersect with (pattern neighbors), which to difference against
-(non-neighbors, for vertex-induced search), the symmetry-breaking bounds,
-and which earlier vertices need an explicit identity exclusion. It holds
-only what its consumers read (the generated kernel, the batched kernel
-and the pattern SQL): the matching order is applied by relabeling the
-pattern into position space and is not kept.
+(non-neighbors, for vertex-induced search), the symmetry-breaking lower
+bounds, and which earlier vertices need an explicit identity exclusion. It
+holds only what its consumers read (the generated kernel, the batched
+kernel and the pattern SQL): the matching order is applied by relabeling
+the pattern into position space and is not kept.
 
 Symmetry order uses the stabilizer-chain construction (the GraphZero
 algorithm the paper adopts): walk positions in matching order; at each
@@ -17,12 +17,16 @@ subgroup add the partial order v_i < v_j, then restrict the subgroup to the
 stabilizer of i. This guarantees each automorphism class of matches has
 exactly one representative satisfying the constraints — the completeness +
 uniqueness requirement of SS2.1 (property-tested in tests/test_plan.py).
+The subgroup at step i already fixes positions 0..i-1, so every orbit
+member j is later than i: each constraint orders an earlier position below
+a later one and is one set bound (SS6.1) that binds at the later level, a
+*lower* bound. The plan states the order once, as those per-level bounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.pattern import Pattern
+from repro.core.pattern import Pattern, clique
 
 
 @dataclass(frozen=True)
@@ -36,17 +40,16 @@ class SearchPlan:
                      intersection of their data-neighborhoods.
     - ``anti[i]``  — earlier positions non-adjacent in P: subtracted when
                      searching vertex-induced matches.
-    - ``upper[i]`` / ``lower[i]`` — symmetry bounds: v_i < v_j / v_i > v_j.
+    - ``lower[i]`` — symmetry bounds v_i > v_j: the whole symmetry order,
+                     which has no upper bounds (see the module docstring).
     - ``excl[i]``  — earlier positions whose data vertex must merely be
                      *different* (identity exclusion not already implied by
                      a strict bound).
     """
 
     pattern: Pattern  # relabeled into position space
-    sym: tuple[tuple[int, int], ...]  # (i, j) meaning v_i < v_j
     conn: tuple[tuple[int, ...], ...]
     anti: tuple[tuple[int, ...], ...]
-    upper: tuple[tuple[int, ...], ...]
     lower: tuple[tuple[int, ...], ...]
     excl: tuple[tuple[int, ...], ...]
     induced: bool
@@ -56,9 +59,9 @@ class SearchPlan:
         return self.pattern.k
 
     def first_edge_reduced(self) -> bool:
-        """True iff the symmetry order constrains v0 vs v1 — enabling
-        edgelist reduction (opt J, SS7.2(2))."""
-        return (0, 1) in self.sym or (1, 0) in self.sym
+        """True iff the symmetry order bounds v1 below by v0 — enabling
+        edgelist reduction (opt J, SS7.2(2)) to the edges with v0 < v1."""
+        return bool(self.lower[1])
 
     def num_buffers(self) -> int:
         """Adaptive-buffering input (opt K): the number X = max(k - 3, 0)
@@ -72,8 +75,8 @@ class SearchPlan:
         """Buffer-reuse analysis for the leaf (level L = k-1, parent P = k-2).
 
         True when the leaf draws from the same operand sets as its parent
-        (same ``conn``, same bounds and exclusions apart from one symmetry
-        bound against v_P). The leaf's candidates are then the parent's
+        (same ``conn``, same bounds and exclusions apart from one lower
+        bound v_L > v_P). The leaf's candidates are then the parent's
         candidate set itself, of size t, and the bound picks one side of
         v_P in it: the leaf is counted as C(t, 2) per parent set without a
         second expansion. For the diamond this is Algorithm 3's
@@ -87,11 +90,10 @@ class SearchPlan:
         L, P = self.k - 1, self.k - 2
         if P < 2 or self.induced or self.conn[L] != self.conn[P]:
             return False
-        if P not in self.upper[L] + self.lower[L]:
+        if P not in self.lower[L]:
             return False
         return all(
-            tuple(j for j in s[L] if j != P) == s[P]
-            for s in (self.upper, self.lower, self.excl)
+            tuple(j for j in s[L] if j != P) == s[P] for s in (self.lower, self.excl)
         )
 
 
@@ -127,7 +129,8 @@ def symmetry_order(p_pos: Pattern) -> tuple[tuple[int, int], ...]:
     """Stabilizer-chain symmetry breaking on the *position-space* pattern.
 
     Returns constraints ``(i, j)`` meaning data vertex at position i must be
-    < the one at position j.
+    < the one at position j. Always i < j: the subgroup at step i fixes
+    positions 0..i-1, so i's orbit holds only i and later positions.
     """
     auts = p_pos.automorphisms()
     cons: list[tuple[int, int]] = []
@@ -152,28 +155,30 @@ def build_plan(p: Pattern, *, induced: bool) -> SearchPlan:
     p_pos = p.relabel(tuple(perm))
     sym = symmetry_order(p_pos)
 
-    conn, anti, upper, lower, excl = [], [], [], [], []
+    conn, anti, lower, excl = [], [], [], []
     for i in range(p.k):
         c = tuple(j for j in range(i) if p_pos.has_edge(i, j))
         a = tuple(j for j in range(i) if not p_pos.has_edge(i, j))
-        up = tuple(j for (ii, j) in sym if ii == i and j < i)
-        lo = tuple(j2 for (j2, ii) in sym if ii == i and j2 < i)
-        bounded = set(up) | set(lo)
-        ex = tuple(j for j in a if j not in bounded)
+        lo = tuple(j for (j, ii) in sym if ii == i)
         conn.append(c)
         anti.append(a)
-        upper.append(up)
         lower.append(lo)
-        excl.append(ex)
+        excl.append(tuple(j for j in a if j not in lo))
         if i >= 1 and not c:
             raise AssertionError("disconnected matching order")
     return SearchPlan(
         pattern=p_pos,
-        sym=sym,
         conn=tuple(conn),
         anti=tuple(anti),
-        upper=tuple(upper),
         lower=tuple(lower),
         excl=tuple(excl),
         induced=induced,
     )
+
+
+def oriented_clique_plan(k: int) -> SearchPlan:
+    """Search plan for a k-clique on the *oriented* graph: the clique plan
+    with its bounds dropped. Every level intersects all earlier
+    out-neighborhoods; the DAG replaces all symmetry bounds and on-the-fly
+    checks (opt A's payoff)."""
+    return replace(build_plan(clique(k), induced=False), lower=((),) * k)

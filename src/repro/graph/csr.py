@@ -11,8 +11,10 @@ Preprocessing ports:
                     a DAG by (degree, id) order; halves the edges, shrinks
                     Delta, removes on-the-fly symmetry checks for cliques.
 - ``edge_tasks``  — the task edgelist, with *edgelist reduction* (opt J):
-                    when the symmetry order covers (v0, v1), keep one
+                    when the symmetry order bounds v1 by v0, keep one
                     instance per undirected edge.
+- ``edge_keys``   — the row-major edge keys the batched kernel probes in
+                    place of the neighbour indices.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ class CSRGraph:
     indices: np.ndarray
     directed: bool = False
     _oriented: "CSRGraph | None" = field(default=None, init=False, repr=False, compare=False)
+    _keys: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
 
     # -- input information (paper: "extracts input information") ---------
     @property
@@ -98,14 +101,32 @@ class CSRGraph:
             )
         return self._oriented
 
+    def edge_keys(self) -> np.ndarray:
+        """Row-major edge keys ``u * n + v``, ascending.
+
+        The same bytes as ``indices``, in a form that one ``searchsorted``
+        probes for any edge: row u's neighbour list is
+        ``keys[indptr[u]:indptr[u+1]] - u * n``. Built once per graph and
+        kept on the instance, like ``orient``, so every kernel of a job
+        that searches this graph holds the same array and the job's
+        broadcast stores it once.
+        """
+        if self._keys is None:
+            rows = np.arange(self.n, dtype=np.int64) * self.n
+            self._keys = np.repeat(rows, self.degrees) + self.indices
+        return self._keys
+
     def edge_tasks(self, mode: str = "all") -> np.ndarray:
         """The task edgelist Omega (SS7.1) as an ``(m, 2)`` array.
 
         ``mode`` applies edgelist reduction (opt J): ``"lt"`` keeps one
         instance per undirected edge with src < dst (valid when the
-        symmetry order includes v0 < v1), ``"gt"`` the mirror, ``"all"``
-        keeps both directions. On an oriented graph the DAG edges already
-        are a reduced list, so ``mode`` is ignored.
+        symmetry order bounds v1 below by v0), ``"all"`` keeps both
+        directions. ``"gt"``, one instance with src > dst, is the choice of
+        the counting-only sweeps (``core.counting``): any one instance per
+        edge serves them, and no search plan asks for it. On an oriented
+        graph the DAG edges already are a reduced list, so ``mode`` is
+        ignored.
         """
         deg = self.degrees
         src = np.repeat(np.arange(self.n), deg)

@@ -54,6 +54,10 @@ def sl_pattern(name: str) -> Pattern:
     return {"diamond": diamond(), "4-cycle": cycle(4)}[name]
 
 
+#: Single-pattern workloads -> their pattern from the workload's arguments.
+SINGLE_PATTERN = {"tc": lambda: clique(3), "kcl": clique, "sl": sl_pattern}
+
+
 def run_cell(
     spark: SparkSession,
     system_name: str,
@@ -74,14 +78,9 @@ def run_cell(
         return CellResult(status="n/a", detail=f"{system_name} lacks {kind}")
 
     def body():
-        if kind == "tc":
-            return sys.make_engine().count(spark, get_csr(graph), clique(3))
-        if kind == "kcl":
-            return sys.make_engine().count(spark, get_csr(graph), clique(workload[1]))
-        if kind == "sl":
-            return sys.make_engine().count(
-                spark, get_csr(graph), sl_pattern(workload[1])
-            )
+        if kind in SINGLE_PATTERN:
+            pattern = SINGLE_PATTERN[kind](*workload[1:])
+            return sys.make_engine().count(spark, get_csr(graph), pattern)
         if kind == "mc":
             return count_motifs(spark, get_csr(graph), workload[1], sys.make_engine())
         if kind == "fsm":

@@ -11,9 +11,7 @@ import pytest
 
 from repro import memory as memmod
 from repro.core import codegen, counting
-from repro.core.engine_dfs import (
-    MAX_STEP, DFSConfig, DFSEngine, batch_count, edge_keys, run_slices,
-)
+from repro.core.engine_dfs import MAX_STEP, DFSConfig, DFSEngine, batch_count, run_slices
 from repro.core.pattern import clique, cycle, diamond, motifs, path, star, tailed_triangle
 from repro.core.plan import build_plan
 from repro.core.setops import BACKENDS, Counter
@@ -65,7 +63,7 @@ def test_batch_count_equals_per_task_kernel(name, kind, p, induced):
     if kind == "roots":
         tasks = np.arange(g.n, dtype=np.int64)
     want = per_task_count(g, plan)
-    keys = edge_keys(g)
+    keys = g.edge_keys()
     for step in (1, TINY_STEP, MAX_STEP):
         got, touches = batch_count(plan, g.indptr, keys, tasks, step)
         assert got == want, step
@@ -109,7 +107,7 @@ def test_unreduced_edgelist_guard(spark, g, p, induced):
         assert ((tasks[:, 1] > tasks[:, 0]) == bool(plan.lower[1])).all()
         return
     assert np.array_equal(tasks, g.edge_tasks("all"))
-    full, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, MAX_STEP)
+    full, _ = batch_count(plan, g.indptr, g.edge_keys(), tasks, MAX_STEP)
     eng, meter = DFSEngine(), memmod.MemoryMeter(BIG)
     df = eng.count_df(spark, g, p, induced=induced, meter=meter)
     assert_equivalent(df, codegen.pattern_sql(plan), adj=adj_pdf("tiny_skew"))
@@ -122,12 +120,12 @@ def test_leaf_reuse_counts_like_expansion(p):
     plan = build_plan(p, induced=False)
     assert plan.leaf_reuse()
     g, plan, tasks = edge_run(tiny("tiny_dense"), p, False)
-    got, _ = batch_count(plan, g.indptr, edge_keys(g), tasks, TINY_STEP)
+    got, _ = batch_count(plan, g.indptr, g.edge_keys(), tasks, TINY_STEP)
     assert got == per_task_count(g, plan)
 
 
 def test_edge_keys_are_sorted_rows(g):
-    keys = edge_keys(g)
+    keys = g.edge_keys()
     assert keys.nbytes == g.indices.nbytes
     assert (np.diff(keys) > 0).all()
     for u in (0, 7, g.n - 1):

@@ -63,6 +63,24 @@ def test_count4_counting_only_equals_enumeration(spark, name):
     assert fast == slow
 
 
+def test_count4_counting_only_broadcasts_edge_keys_once(spark, monkeypatch):
+    """The stats sweep and the 4-cycle kernel search the same graph, so
+    they hold the same edge-key array, which the job's broadcast stores
+    once."""
+    launches = []
+
+    def run_on_driver(spark, ls):
+        launches.extend(ls)
+        return [worker(graph, tasks) for graph, tasks, worker in ls]
+
+    monkeypatch.setattr(counting, "run_slices", run_on_driver)
+    gg = build_csr(generate_graph("tiny")[0])
+    counting.count4_counting_only(spark, gg, engine=DFSEngine())
+    (_, stats_keys), _, _ = launches[0]
+    (_, cycle_keys), _, _ = launches[2]
+    assert stats_keys is cycle_keys
+
+
 def test_diamond_counting_only_matches_oracle(spark, g):
     import pandas as pd
 

@@ -80,6 +80,10 @@ def test_orient_built_once_per_graph(g):
     assert g.orient() is g.orient()
 
 
+def test_edge_keys_built_once_per_graph(g):
+    assert g.edge_keys() is g.edge_keys()
+
+
 # -- task edgelist Omega (opt J) -----------------------------------------
 
 def test_edge_tasks_all(g):

@@ -5,9 +5,9 @@ import pytest
 
 from repro import memory as memmod
 from repro.core import codegen, engine_dfs
-from repro.core.engine_dfs import DFSConfig, DFSEngine, oriented_clique_plan
+from repro.core.engine_dfs import DFSConfig, DFSEngine
 from repro.core.pattern import clique, cycle, diamond, motifs, path
-from repro.core.plan import build_plan
+from repro.core.plan import build_plan, oriented_clique_plan
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
@@ -133,7 +133,7 @@ def test_per_task_costs_sum_to_run_touches(spark, g, p):
 
 def test_oriented_clique_plan_structure():
     plan = oriented_clique_plan(4)
-    assert plan.sym == ()
+    assert plan.lower == ((), (), (), ())
     assert plan.conn == ((), (0,), (0, 1), (0, 1, 2))
     assert plan.num_buffers() <= 1
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import memory as memmod
 from repro.core import fsm as fsmmod
-from repro.core.engine_dfs import MAX_STEP, edge_keys
+from repro.core.engine_dfs import MAX_STEP
 from repro.graph.gen import adj_pdf, labels_pdf
 from repro.oracle import assert_equivalent
 
@@ -78,7 +78,7 @@ def test_domain_counts_do_not_depend_on_slicing(data, step):
     the domain vertices into contiguous slices, at any block step."""
     adj, labels = data
     good, g, lab = fsmmod._pruned_graph(adj, labels, 3)
-    graph = (g.indptr, edge_keys(g), lab)
+    graph = (g.indptr, g.edge_keys(), lab)
     tasks = np.arange(g.n)
 
     def run(P):

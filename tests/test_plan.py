@@ -13,8 +13,8 @@ import pytest
 from repro.core.pattern import (
     Pattern, clique, cycle, diamond, motifs, path, star, tailed_triangle,
 )
-from repro.core.engine_dfs import oriented_clique_plan
-from repro.core.plan import build_plan, matching_order, symmetry_order
+from repro.core import codegen
+from repro.core.plan import build_plan, matching_order, oriented_clique_plan, symmetry_order
 
 PATTERNS = [
     clique(3), clique(4), clique(5), path(3), path(4), cycle(4),
@@ -68,10 +68,7 @@ def count_with_plan(adj, plan) -> int:
             if not ok:
                 break
         if ok:
-            for (i, j) in plan.sym:
-                if not perm[i] < perm[j]:
-                    ok = False
-                    break
+            ok = all(perm[j] < perm[i] for i in range(pat.k) for j in plan.lower[i])
         # injectivity of permutations() covers excl
         total += ok
     return total
@@ -107,19 +104,20 @@ def test_matching_order_rejects_disconnected():
 @pytest.mark.parametrize("p", PATTERNS, ids=lambda p: p.name)
 def test_symmetry_order_references_valid_positions(p):
     plan = build_plan(p, induced=False)
-    for (i, j) in plan.sym:
-        assert 0 <= i < p.k and 0 <= j < p.k and i != j
+    for i in range(p.k):
+        for j in plan.lower[i]:
+            assert 0 <= j < i
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_clique_symmetry_is_total_order(k):
     plan = build_plan(clique(k), induced=False)
-    assert len(plan.sym) == k * (k - 1) // 2
+    assert sum(map(len, plan.lower)) == k * (k - 1) // 2
 
 
 def test_diamond_symmetry_two_constraints():
     plan = build_plan(diamond(), induced=False)
-    assert len(plan.sym) == 2  # hub pair + apex pair (SS2.2)
+    assert sum(map(len, plan.lower)) == 2  # hub pair + apex pair (SS2.2)
 
 
 @pytest.mark.parametrize("p", PATTERNS, ids=lambda p: p.name)
@@ -139,13 +137,13 @@ def test_symmetry_breaking_uniqueness(p, induced, seed):
 def test_plan_level_constraint_partition(p):
     plan = build_plan(p, induced=True)
     # opt J: only a v0/v1 bound lets the edgelist be reduced
-    assert plan.first_edge_reduced() == bool(plan.upper[1] + plan.lower[1])
+    assert plan.first_edge_reduced() == bool(plan.lower[1])
     for i in range(1, p.k):
         # conn and anti partition the earlier positions
         assert sorted(plan.conn[i] + plan.anti[i]) == list(range(i))
         assert plan.conn[i], "connected matching order"
         # excl ⊆ anti and excl ∩ bounded = ∅
-        bounded = set(plan.upper[i]) | set(plan.lower[i])
+        bounded = set(plan.lower[i])
         assert set(plan.excl[i]) <= set(plan.anti[i])
         assert not (set(plan.excl[i]) & bounded)
 
@@ -196,15 +194,31 @@ def test_every_deeper_level_has_a_set_op(plan):
         ops = (
             len(plan.conn[i]) - 1
             + (len(plan.anti[i]) if plan.induced else 0)
-            + len(plan.upper[i]) + len(plan.lower[i]) + bool(plan.excl[i])
+            + len(plan.lower[i]) + bool(plan.excl[i])
         )
         assert ops >= 1, f"level {i}"
+
+
+@pytest.mark.parametrize("plan", [p for _, p in ALL_PLANS], ids=[n for n, _ in ALL_PLANS])
+def test_symmetry_order_bounds_later_positions_only(plan):
+    """The stabilizer chain orders an earlier position below a later one
+    and never the reverse, so ``lower`` states the whole order."""
+    assert all(i < j for i, j in symmetry_order(plan.pattern))
+
+
+@pytest.mark.parametrize("plan", [p for _, p in ALL_PLANS], ids=[n for n, _ in ALL_PLANS])
+def test_generators_apply_each_bound_once(plan):
+    """The generated kernel and the pattern SQL apply each of the plan's
+    bounds exactly once: one ``bound_lower`` call, one ``<`` predicate."""
+    bounds = sum(map(len, plan.lower))
+    assert codegen.kernel_source(plan, "vertex").count("ops.bound_lower(") == bounds
+    assert codegen.pattern_sql(plan).count(" < ") == bounds
 
 
 def test_symmetry_order_stabilizer_chain_on_star():
     # star(3) in position space: center first, then 3 symmetric leaves.
     plan = build_plan(star(3), induced=False)
-    assert len(plan.sym) == 3  # leaves totally ordered
+    assert sum(map(len, plan.lower)) == 3  # leaves totally ordered
 
 
 def test_leaf_reuse_predicate():
