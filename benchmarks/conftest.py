@@ -1,14 +1,15 @@
 """Benchmark-suite fixtures.
 
-Each benchmark file reproduces one table of the paper's evaluation; each
-pytest-benchmark case is one (system, workload, graph) cell, run exactly
-once (pedantic, 1 round — the paper reports averages of 3 runs on real
-hardware; one round keeps the whole suite tractable and cells are
-seconds-long so variance is dominated by Spark scheduling noise either
-way). Results are accumulated and written to benchmarks/results/*.csv so
-EXPERIMENTS.md can cite exact measured numbers.
+``test_tables.py`` reproduces the paper's Tables 4-9 and
+``test_sched_scaling.py`` the substance of Fig 9/10. Each pytest-benchmark
+case of a table is one (system, workload, graph) cell, run exactly once
+under ``harness.DEFAULT_TIMEOUT_S`` (pedantic, 1 round — the paper reports
+averages of 3 runs on real hardware; one round keeps the whole suite
+tractable and cells are seconds-long so variance is dominated by Spark
+scheduling noise either way). At the end of the session each table's rows
+are merged into benchmarks/results/<table>.csv so EXPERIMENTS.md can cite
+exact measured numbers; a run of a subset (``-k``) keeps the other rows.
 """
-import atexit
 import os
 from collections import defaultdict
 
@@ -16,39 +17,33 @@ import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-_rows: dict[str, list[dict]] = defaultdict(list)
+#: Results table -> the columns that name one of its cells, when they are
+#: not a table cell's (system, workload, graph).
+CELL_KEY = {"sched_scaling": ("policy", "n_gpus")}
 
 
-def _dump():
+def dump(rows: dict[str, list[dict]]) -> None:
+    """Merge each table's new rows into its CSV by cell key: a re-run cell
+    replaces its stored row in place, a new cell is appended, and every
+    other stored row stays."""
     import pandas as pd
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    for table, rows in _rows.items():
-        pd.DataFrame(rows).to_csv(
-            os.path.join(RESULTS_DIR, f"{table}.csv"), index=False
-        )
-
-
-atexit.register(_dump)
+    for table, new in rows.items():
+        path = os.path.join(RESULTS_DIR, f"{table}.csv")
+        key = CELL_KEY.get(table, ("system", "workload", "graph"))
+        old = pd.read_csv(path).to_dict("records") if os.path.exists(path) else []
+        merged = {tuple(str(row[k]) for k in key): row for row in old + new}
+        pd.DataFrame(list(merged.values())).to_csv(path, index=False)
 
 
 @pytest.fixture(scope="session")
 def record():
-    """record(table, row_dict): accumulate a measured cell."""
-
-    def _record(table: str, row: dict):
-        _rows[table].append(row)
-
-    yield _record
-    _dump()
-
-
-@pytest.fixture(scope="session")
-def cell_timeout() -> float:
-    """Per-cell timeout — the paper's 8h/30h budgets at bench scale."""
-    from repro.harness import DEFAULT_TIMEOUT_S
-
-    return float(os.environ.get("REPRO_CELL_TIMEOUT", DEFAULT_TIMEOUT_S))
+    """record(table, row_dict): accumulate a measured cell; the rows are
+    written when the session ends."""
+    rows: dict[str, list[dict]] = defaultdict(list)
+    yield lambda table, row: rows[table].append(row)
+    dump(rows)
 
 
 @pytest.fixture(scope="session", autouse=True)

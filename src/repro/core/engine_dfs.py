@@ -49,7 +49,6 @@ from functools import partial
 from typing import Callable, ClassVar, Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import memory as memmod
@@ -373,12 +372,6 @@ class DFSEngine:
                 meter.free("tasks")
                 meter.free("buffers")
         return out
-
-    def count_df(self, spark: SparkSession, csr: CSRGraph, pattern: Pattern, **kw):
-        """Count wrapped as a one-row DataFrame (column ``cnt``) so results
-        flow through ``repro.oracle.assert_equivalent``."""
-        c = self.count(spark, csr, pattern, **kw)
-        return spark.createDataFrame(pd.DataFrame({"cnt": [c]}))
 
     # -- internals -------------------------------------------------------
 

@@ -45,11 +45,6 @@ class CSRGraph:
         return len(self.indptr) - 1
 
     @property
-    def num_edges_stored(self) -> int:
-        """Stored (directed) edge count: 2|E| symmetric, |E| oriented."""
-        return len(self.indices)
-
-    @property
     def num_edges(self) -> int:
         """Undirected edge count |E|."""
         return len(self.indices) if self.directed else len(self.indices) // 2

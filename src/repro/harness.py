@@ -1,9 +1,10 @@
 """Evaluation harness: runs one (system, workload, graph) cell the way the
 paper's experiment scripts do, with wall-clock timing, a hard timeout and
-OoM capture, and formats tables that print the paper's number next to ours.
+OoM capture, lists every cell of the paper's Tables 4-9 with the paper's
+number, and builds a cell's result row.
 
-Used by the per-table benchmarks (``benchmarks/``) and the spark-submit
-jobs (``jobs/``).
+The benchmark suite (``benchmarks/test_tables.py``) runs every table
+through it; perfbench runs single cells.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from repro.graph import gen
 from repro.systems import SYSTEMS
 from repro.timeout import CellResult, TimeoutError_, run_with_timeout
 
-#: Default per-cell timeout: the paper's 8 h GPU / 30 h CPU budgets at
-#: ~1/1000 time scale. ``REPRO_CELL_TIMEOUT`` overrides it for the benchmarks.
+#: The per-cell timeout: the paper's 8 h GPU / 30 h CPU budgets at
+#: ~1/1000 time scale.
 DEFAULT_TIMEOUT_S = 45.0
 
 
@@ -106,17 +107,9 @@ def run_cell(
         return CellResult(status="TO", seconds=time.perf_counter() - t0, detail=str(e))
 
 
-def fmt_cell(r: CellResult) -> str:
-    if r.status == "ok":
-        return f"{r.seconds:.2f}"
-    return r.status
-
-
-def fmt_paper(v) -> str:
-    return v if isinstance(v, str) else f"{v:g}"
-
-
-def cell_row(system: str, workload: tuple, graph: str, r: CellResult) -> dict:
+def cell_row(
+    system: str, workload: tuple, graph: str, r: CellResult, paper_value
+) -> dict:
     """One result row (the CSV columns); a motif table's value is summed."""
     value = sum(r.value.values()) if isinstance(r.value, dict) else r.value
     return {
@@ -126,72 +119,29 @@ def cell_row(system: str, workload: tuple, graph: str, r: CellResult) -> dict:
         "status": r.status,
         "seconds": round(r.seconds, 3),
         "value": value,
+        "paper": paper_value,
     }
-
-
-def run_table(
-    spark: SparkSession,
-    cells: list[tuple[str, tuple, str]],
-    *,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-) -> pd.DataFrame:
-    """Run a list of (system, workload, graph) cells into a tidy frame,
-    one row per cell in order."""
-    return pd.DataFrame(
-        [
-            cell_row(s, w, g, run_cell(spark, s, w, g, timeout_s=timeout_s))
-            for s, w, g in cells
-        ]
-    )
 
 
 # -- per-table cell lists (one entry per cell of the paper's tables) -----
 
-#: Table number -> (paper table, title, paper key -> (workload, graph)).
+#: Table number -> (paper table, paper key -> (workload, graph)).
 TABLES = {
-    4: (paper.TABLE4, "Triangle counting (TC)", lambda g: (("tc",), g)),
-    5: (paper.TABLE5, "k-clique listing (k-CL)", lambda kg: (("kcl", kg[0]), kg[1])),
-    6: (paper.TABLE6, "Subgraph listing (SL)", lambda pg: (("sl", pg[0]), pg[1])),
-    7: (paper.TABLE7, "k-motif counting (k-MC)", lambda kg: (("mc", kg[0]), kg[1])),
-    8: (paper.TABLE8, "3-FSM",
-        lambda gs: (("fsm", paper.SIGMA_SCALE[gs[1]]), gs[0])),
-    9: (paper.TABLE9, "Counting-only pruning",
-        lambda wg: (("counting", wg[0]), wg[1])),
+    4: (paper.TABLE4, lambda g: (("tc",), g)),
+    5: (paper.TABLE5, lambda kg: (("kcl", kg[0]), kg[1])),
+    6: (paper.TABLE6, lambda pg: (("sl", pg[0]), pg[1])),
+    7: (paper.TABLE7, lambda kg: (("mc", kg[0]), kg[1])),
+    8: (paper.TABLE8, lambda gs: (("fsm", paper.SIGMA_SCALE[gs[1]]), gs[0])),
+    9: (paper.TABLE9, lambda wg: (("counting", wg[0]), wg[1])),
 }
 
 
-def table_cells(no: int) -> list[tuple[str, tuple, str]]:
-    """Table ``no``'s (system, workload, graph) cells: one per entry of the
-    paper's table, in its order."""
-    paper_tbl, _, to_cell = TABLES[no]
-    return [(s, *to_cell(key)) for s, keys in paper_tbl.items() for key in keys]
-
-
-def paper_key(workload: tuple, graph: str) -> tuple | str:
-    """Map a cell back to the paper table's cell key."""
-    kind = workload[0]
-    if kind == "tc":
-        return graph
-    if kind in ("kcl", "sl", "mc", "counting"):
-        return (workload[1], graph)
-    if kind == "fsm":
-        inv = {v: k for k, v in paper.SIGMA_SCALE.items()}
-        return (graph, inv[workload[1]])
-    raise ValueError(kind)
-
-
-def print_side_by_side(
-    cells: list[tuple[str, tuple, str]], df: pd.DataFrame, paper_tbl: dict
-) -> str:
-    """Render measured-vs-paper lines: one per cell of ``run_table(cells)``."""
-    lines = []
-    for (system, workload, graph), row in zip(cells, df.itertuples()):
-        pv = paper_tbl.get(system, {}).get(paper_key(workload, graph), "-")
-        ours = fmt_cell(CellResult(status=row.status, seconds=row.seconds))
-        lines.append(
-            f"{system:>10s} {row.workload:>10s} {graph:>4s} "
-            f"ours={ours:>8s} paper={fmt_paper(pv):>8s}"
-        )
-    out = "\n".join(lines)
-    print(out)
-    return out
+def table_cells(no: int) -> list[tuple[str, tuple, str, object]]:
+    """Table ``no``'s (system, workload, graph, paper value) cells: one per
+    entry of the paper's table, in its order."""
+    paper_tbl, to_cell = TABLES[no]
+    return [
+        (s, *to_cell(key), value)
+        for s, entries in paper_tbl.items()
+        for key, value in entries.items()
+    ]

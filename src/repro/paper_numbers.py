@@ -2,7 +2,7 @@
 
 Values are seconds; "OoM" / "TO" markers reproduce the paper's cells.
 EXPERIMENTS.md diffs these against measured results — absolute times are
-not comparable (V100s vs a 16-core Spark-local simulator at ~1/2000 data
+not comparable (V100s vs a Spark local-mode simulator at ~1/2000 data
 scale); the *shape* (ordering, OoM/TO pattern, rough factors) is.
 """
 

@@ -19,6 +19,8 @@ from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
 
+from test_engine_dfs import count_df
+
 BIG = 1 << 40
 #: A frontier step far below the tiny graphs' expansions.
 TINY_STEP = 5
@@ -80,7 +82,7 @@ def test_batched_engine_matches_oracle(spark, g, p, induced, budget):
         per = (plan.k + 1) * 8 * DFSConfig.num_partitions
         limit = gg.nbytes() + tasks.nbytes + TINY_STEP * per
     meter = memmod.MemoryMeter(limit)
-    df = DFSEngine().count_df(spark, g, p, induced=induced, meter=meter)
+    df = count_df(spark, DFSEngine(), g, p, induced=induced, meter=meter)
     sql = codegen.pattern_sql(build_plan(p, induced=induced))
     assert_equivalent(df, sql, adj=adj_pdf("tiny_skew"))
     assert meter.resident == 0
@@ -109,7 +111,7 @@ def test_unreduced_edgelist_guard(spark, g, p, induced):
     assert np.array_equal(tasks, g.edge_tasks("all"))
     full, _ = batch_count(plan, g.indptr, g.edge_keys(), tasks, MAX_STEP)
     eng, meter = DFSEngine(), memmod.MemoryMeter(BIG)
-    df = eng.count_df(spark, g, p, induced=induced, meter=meter)
+    df = count_df(spark, eng, g, p, induced=induced, meter=meter)
     assert_equivalent(df, codegen.pattern_sql(plan), adj=adj_pdf("tiny_skew"))
     assert eng.count(spark, g, p, induced=induced, meter=meter) == full
 

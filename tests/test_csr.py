@@ -15,7 +15,7 @@ def g() -> CSRGraph:
 def test_symmetric_edge_count(g):
     e, _ = generate_graph("tiny_skew")
     assert g.num_edges == len(e)
-    assert g.num_edges_stored == 2 * len(e)
+    assert len(g.indices) == 2 * len(e)
 
 
 def test_neighbor_lists_sorted_unique(g):
@@ -25,7 +25,7 @@ def test_neighbor_lists_sorted_unique(g):
 
 
 def test_degrees_match_indptr(g):
-    assert g.degrees.sum() == g.num_edges_stored
+    assert g.degrees.sum() == len(g.indices)
     assert g.max_degree == g.degrees.max()
 
 
@@ -45,7 +45,7 @@ def test_nbytes_positive(g):
 def test_orient_halves_edges(g):
     go = g.orient()
     assert go.directed
-    assert go.num_edges_stored == g.num_edges
+    assert len(go.indices) == g.num_edges
 
 
 def test_orient_reduces_max_degree(g):
@@ -88,7 +88,7 @@ def test_edge_keys_built_once_per_graph(g):
 
 def test_edge_tasks_all(g):
     t = g.edge_tasks("all")
-    assert len(t) == g.num_edges_stored
+    assert len(t) == len(g.indices)
 
 
 @pytest.mark.parametrize("mode", ["lt", "gt"])
@@ -108,4 +108,4 @@ def test_edge_tasks_bad_mode(g):
 
 def test_oriented_tasks_already_reduced(g):
     go = g.orient()
-    assert len(go.edge_tasks("lt")) == go.num_edges_stored
+    assert len(go.edge_tasks("lt")) == len(go.indices)

@@ -1,6 +1,7 @@
 """DFS engine tests on Spark: every configuration path must produce counts
 equal to the independently generated SQL executed by DuckDB (via
 ``repro.oracle.assert_equivalent``)."""
+import pandas as pd
 import pytest
 
 from repro import memory as memmod
@@ -26,8 +27,14 @@ def adj():
     return adj_pdf("tiny_skew")
 
 
+def count_df(spark, engine, g, pattern, **kw):
+    """``engine.count`` as a one-row DataFrame (column ``cnt``), the shape
+    ``repro.oracle.assert_equivalent`` compares with the pattern SQL."""
+    return spark.createDataFrame(pd.DataFrame({"cnt": [engine.count(spark, g, pattern, **kw)]}))
+
+
 def check(spark, g, adj, engine, pattern, induced=False):
-    df = engine.count_df(spark, g, pattern, induced=induced, meter=memmod.MemoryMeter(BIG))
+    df = count_df(spark, engine, g, pattern, induced=induced, meter=memmod.MemoryMeter(BIG))
     sql = codegen.pattern_sql(build_plan(pattern, induced=induced))
     assert_equivalent(df, sql, adj=adj)
 
@@ -139,6 +146,6 @@ def test_oriented_clique_plan_structure():
 
 
 def test_count_df_schema(spark, g):
-    df = DFSEngine().count_df(spark, g, clique(3), meter=memmod.MemoryMeter(BIG))
+    df = count_df(spark, DFSEngine(), g, clique(3), meter=memmod.MemoryMeter(BIG))
     assert df.columns == ["cnt"]
-    assert df.count() == 1
+    assert df.collect()[0].cnt == DFSEngine().count(spark, g, clique(3))

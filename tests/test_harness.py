@@ -1,17 +1,15 @@
-"""Harness tests: run_cell dispatch, statuses, and table running on the
-tiny test graphs (the bench graphs are exercised by benchmarks/)."""
-import importlib.util
-import os
-
+"""Harness tests: run_cell dispatch and statuses on the tiny test graphs
+(the bench graphs are exercised by benchmarks/), the per-table cell lists,
+and the benchmark cell's result row."""
 import pytest
 
 from repro import harness, paper_numbers as paper
 from repro.core import counting
 from repro.graph import gen
-from repro.harness import fmt_cell, fmt_paper, get_csr, run_cell, run_table, sl_pattern
+from repro.harness import TABLES, get_csr, run_cell, sl_pattern, table_cells
 from repro.timeout import CellResult
 
-BENCH_COMMON = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "_bench_common.py")
+from test_jobs import load_bench
 
 
 def test_get_csr_cached():
@@ -108,13 +106,6 @@ def test_dfs_cell_is_one_spark_job(spark, monkeypatch, system, workload):
     assert len(sc.statusTracker().getJobIdsForGroup(groups[0])) == 1
 
 
-def load_bench_common():
-    spec = importlib.util.spec_from_file_location("_bench_common", BENCH_COMMON)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
-
-
 class Benchmark:
     """pytest-benchmark's ``pedantic`` without the timing."""
 
@@ -129,30 +120,25 @@ def test_unsupported_workload_is_na(spark):
     assert r.status == "n/a"
 
 
-def test_run_table_frame(spark):
-    df = run_table(
-        spark,
-        [("G2Miner", ("tc",), "tiny"), ("GraphZero", ("tc",), "tiny")],
-        timeout_s=60,
-    )
-    assert list(df.columns) == ["system", "workload", "graph", "status", "seconds", "value"]
-    assert (df["status"] == "ok").all()
-    assert df["value"].nunique() == 1, "systems agree"
-
-
-def test_run_table_and_bench_cell_rows_agree(monkeypatch):
-    """The jobs' frame and the benchmark CSVs build a cell's row one way."""
+def test_bench_cell_records_csv_row(monkeypatch):
+    """A benchmark cell runs ``run_cell`` under its default timeout and
+    records the CSV row: the columns in order, a motif table's value
+    summed, seconds rounded, and the paper's number."""
+    calls = []
     result = CellResult(status="ok", value={"wedge": 5, "triangle": 2}, seconds=1.23456)
-    monkeypatch.setattr(harness, "run_cell", lambda *a, **kw: result)
-    bench = load_bench_common()
+    monkeypatch.setattr(harness, "run_cell",
+                        lambda *a, **kw: calls.append(kw) or result)
+    bench = load_bench("test_tables.py")
     recorded = []
-    bench.bench_cell(None, Benchmark(), lambda table, row: recorded.append(row),
-                     "table7", paper.TABLE7, "G2Miner", ("mc", 3), "Lj", timeout_s=1)
-    df = run_table(None, [("G2Miner", ("mc", 3), "Lj")])
-    (row,) = recorded
-    assert row.pop("paper") == paper.TABLE7["G2Miner"][(3, "Lj")]
-    assert df.to_dict("records") == [row]
-    assert row["value"] == 7 and row["workload"] == "mc/3" and row["seconds"] == 1.235
+    bench.bench_cell(None, Benchmark(), lambda table, row: recorded.append((table, row)),
+                     7, "G2Miner", ("mc", 3), "Lj", paper.TABLE7["G2Miner"][(3, "Lj")])
+    assert calls == [{}]
+    ((table, row),) = recorded
+    assert table == "table7"
+    assert list(row.items()) == [
+        ("system", "G2Miner"), ("workload", "mc/3"), ("graph", "Lj"), ("status", "ok"),
+        ("seconds", 1.235), ("value", 7), ("paper", paper.TABLE7["G2Miner"][(3, "Lj")]),
+    ]
 
 
 def test_bench_fails_when_finished_systems_disagree(monkeypatch):
@@ -169,24 +155,17 @@ def test_bench_fails_when_finished_systems_disagree(monkeypatch):
     }
     monkeypatch.setattr(harness, "run_cell",
                         lambda spark, s, w, g, **kw: results[(s, g)])
-    bench = load_bench_common()
+    bench = load_bench("test_tables.py")
 
     def cell(system, graph):
-        bench.bench_cell(None, Benchmark(), lambda table, row: None, "table7",
-                         paper.TABLE7, system, ("mc", 3), graph, timeout_s=1)
+        bench.bench_cell(None, Benchmark(), lambda table, row: None, 7,
+                         system, ("mc", 3), graph, "-")
 
     for system in ("G2Miner", "Pangolin", "Peregrine", "GraphZero"):
         cell(system, "Lj")
     cell("G2Miner", "Or")
     with pytest.raises(AssertionError, match="GraphZero and G2Miner disagree"):
         cell("GraphZero", "Or")
-
-
-def test_fmt_helpers():
-    assert fmt_cell(CellResult(status="ok", seconds=1.234)) == "1.23"
-    assert fmt_cell(CellResult(status="OoM")) == "OoM"
-    assert fmt_paper(paper.OOM) == "OoM"
-    assert fmt_paper(5.1) == "5.1"
 
 
 def test_paper_tables_well_formed():
@@ -200,3 +179,23 @@ def test_paper_tables_well_formed():
 
 def test_sigma_scaling_table():
     assert paper.SIGMA_SCALE == {300: 3, 500: 5, 1000: 10, 5000: 50}
+
+
+def test_cell_lists_cover_paper_tables():
+    """Every entry of a paper table is exactly one cell of that table, with
+    the paper's value; Table 8's paper sigma maps to the scaled sigma."""
+    for no, (paper_tbl, _) in TABLES.items():
+        cells = table_cells(no)
+        assert len(cells) == sum(len(entries) for entries in paper_tbl.values())
+        assert len({c[:3] for c in cells}) == len(cells)
+        for system, workload, graph, value in cells:
+            if no == 4:
+                key = graph
+            elif no == 8:
+                sigma = {v: k for k, v in paper.SIGMA_SCALE.items()}[workload[1]]
+                key = (graph, sigma)
+            else:
+                key = (workload[1], graph)
+            assert paper_tbl[system][key] == value, (no, system, key)
+    assert ("G2Miner", ("fsm", 50), "Yo", paper.TABLE8["G2Miner"][("Yo", 5000)]) \
+        in table_cells(8)

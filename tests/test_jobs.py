@@ -1,51 +1,78 @@
-"""Smoke tests for the spark-submit job entrypoints: they must parse,
-reference real tables, and share the harness cell lists."""
+"""Tests of the experiment runners: the benchmark suite's table module
+runs the harness's cells under ids that select one table, a partial run
+keeps the other rows of a results CSV, and the jobs/ scripts parse."""
 import importlib.util
 import os
 import py_compile
 
+import pandas as pd
 import pytest
+
+from repro.harness import TABLES, table_cells
 
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-JOB_FILES = [
-    "table4_tc.py", "table5_kcl.py", "table6_sl.py", "table7_kmc.py",
-    "table8_fsm.py", "table9_counting.py", "sched_scaling.py", "_run.py",
-]
 
 
-@pytest.mark.parametrize("fname", JOB_FILES)
+def load_bench(fname):
+    """Import a benchmarks/ module (tier-1 does not collect the suite)."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{fname[:-3]}", os.path.join(BENCH_DIR, fname)
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fname", ["make_experiments_md.py"])
 def test_job_compiles(fname):
     py_compile.compile(os.path.join(JOBS_DIR, fname), doraise=True)
 
 
-def test_all_tables_have_jobs():
-    from repro.harness import TABLES
-
-    present = {f for f in os.listdir(JOBS_DIR) if f.startswith("table")}
-    assert {int(f[5]) for f in present} == set(TABLES)
-
-
-def test_cell_lists_cover_paper_tables():
-    """Every (system, key) the paper reports must be a generated cell."""
-    from repro.harness import TABLES, paper_key, table_cells
-
-    for no, (paper_tbl, _, _) in TABLES.items():
-        made = {(s, paper_key(w, g)) for (s, w, g) in table_cells(no)}
-        for system, entries in paper_tbl.items():
-            for key in entries:
-                assert (system, key) in made, (no, system, key)
-
-
 @pytest.mark.parametrize("no", [4, 5, 6, 7, 8, 9])
-def test_table_benchmarks_use_harness_cells(monkeypatch, no):
-    """Each benchmarks/test_tableN_*.py imports and runs the harness's cells
-    for table N (tier-1 does not otherwise import the benchmark suite)."""
-    from repro.harness import table_cells
+def test_table_benchmarks_use_harness_cells(no):
+    """benchmarks/test_tables.py runs table N's harness cells, in order,
+    and ``-k tableN`` selects exactly those."""
+    bench = load_bench("test_tables.py")
+    assert [c[1:] for c in bench.CELLS if c[0] == no] == table_cells(no)
+    selected = [c for c, i in zip(bench.CELLS, bench.IDS) if f"table{no}" in i]
+    assert [c[0] for c in selected] == [no] * len(table_cells(no))
 
-    (fname,) = [f for f in os.listdir(BENCH_DIR) if f.startswith(f"test_table{no}_")]
-    monkeypatch.syspath_prepend(BENCH_DIR)
-    spec = importlib.util.spec_from_file_location(fname[:-3], os.path.join(BENCH_DIR, fname))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.CELLS == table_cells(no)
+
+def test_table_benchmark_cells_have_unique_ids():
+    """The suite's cells are every table's harness cells, concatenated, and
+    each has its own id."""
+    bench = load_bench("test_tables.py")
+    assert [c[1:] for c in bench.CELLS] == [c for no in TABLES for c in table_cells(no)]
+    assert len(set(bench.IDS)) == len(bench.IDS) == len(bench.CELLS)
+    assert "table7-G2Miner-mc/3-Lj" in bench.IDS
+
+
+def test_partial_run_merges_into_results(monkeypatch, tmp_path):
+    """A run of a subset replaces its cells' rows in place, appends new
+    cells and keeps the other rows of the table's CSV."""
+    conf = load_bench("conftest.py")
+    monkeypatch.setattr(conf, "RESULTS_DIR", str(tmp_path))
+
+    def row(system, graph, status, seconds, value):
+        return {"system": system, "workload": "tc", "graph": graph,
+                "status": status, "seconds": seconds, "value": value, "paper": 0.1}
+
+    conf.dump({"table4": [row("G2Miner", "Lj", "ok", 1.0, 5),
+                          row("G2Miner", "Or", "ok", 2.0, 7),
+                          row("Pangolin", "Lj", "OoM", 0.1, None)],
+               "sched_scaling": [{"policy": "even_split", "n_gpus": 1, "speedup": 1.0},
+                                 {"policy": "even_split", "n_gpus": 2, "speedup": 1.5}]})
+    conf.dump({"table4": [row("G2Miner", "Or", "TO", 45.0, None)],
+               "sched_scaling": [{"policy": "even_split", "n_gpus": 2, "speedup": 1.9},
+                                 {"policy": "even_split", "n_gpus": 3, "speedup": 2.4}]})
+    df = pd.read_csv(tmp_path / "table4.csv")
+    assert list(df.columns) == ["system", "workload", "graph", "status",
+                                "seconds", "value", "paper"]
+    assert list(zip(df.system, df.graph, df.status)) == [
+        ("G2Miner", "Lj", "ok"), ("G2Miner", "Or", "TO"), ("Pangolin", "Lj", "OoM")]
+    assert df.value.iloc[0] == 5 and df.value.iloc[1:].isna().all()
+    assert df.seconds.tolist() == [1.0, 45.0, 0.1]
+    sched = pd.read_csv(tmp_path / "sched_scaling.csv")
+    assert sched.n_gpus.tolist() == [1, 2, 3]
+    assert sched.speedup.tolist() == [1.0, 1.9, 2.4]

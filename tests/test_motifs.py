@@ -16,6 +16,8 @@ from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
 
+from test_engine_dfs import count_df
+
 BIG = 1 << 40
 
 
@@ -70,6 +72,6 @@ def test_each_motif_matches_oracle(spark, g):
     eng = DFSEngine()
     adj = adj_pdf("tiny")
     for p in motifs(3):
-        df = eng.count_df(spark, g, p, induced=True, meter=memmod.MemoryMeter(BIG))
+        df = count_df(spark, eng, g, p, induced=True, meter=memmod.MemoryMeter(BIG))
         sql = codegen.pattern_sql(build_plan(p, induced=True))
         assert_equivalent(df, sql, adj=adj)
