@@ -48,9 +48,12 @@ def record():
 
 @pytest.fixture(scope="session", autouse=True)
 def _warmup(spark):
-    """Pay Spark/Arrow/python-worker startup once, outside any timed cell."""
+    """Pay Spark/Arrow/python-worker startup once, outside any timed cell:
+    one DFS count (an RDD job) and one BFS count (Catalyst joins)."""
+    from repro.core.engine_bfs import BFSEngine
     from repro.core.engine_dfs import DFSEngine
     from repro.core.pattern import clique
     from repro.harness import get_csr
 
     DFSEngine().count(spark, get_csr("tiny"), clique(3))
+    BFSEngine().count(spark, get_csr("tiny"), clique(3))

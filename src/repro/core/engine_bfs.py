@@ -68,7 +68,6 @@ class BFSEngine:
         exceed the engine's device budget (Pangolin mode).
         """
         P = self.cfg.adj_partitions
-        meter = meter or memmod.MemoryMeter(self.budget)
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
         # so Pangolin orients regardless of the induced flag.
         use_orient = pattern.is_clique() and P == 0
@@ -79,66 +78,59 @@ class BFSEngine:
             else build_plan(pattern, induced=induced)
         )
         edges = g.edge_tasks("all")  # no edgelist reduction in the baselines
-        if P > 0:
+        with memmod.charged(meter, self.budget) as meter:
             # PBE partitions the data graph precisely so that only one
             # partition is resident at a time — that is how it "supports
             # large graphs" (SS3.2) at the price of cross-partition
-            # communication. Charge a single partition's share.
-            meter.alloc("csr", g.nbytes() // P)
-            meter.alloc("edgelist", edges.nbytes // P)
-        else:
-            meter.alloc("csr", g.nbytes())
-            meter.alloc("edgelist", edges.nbytes)
+            # communication. Charge a single partition's share; Pangolin's
+            # is the whole graph.
+            meter.alloc("csr", g.nbytes() // (P or 1))
+            meter.alloc("edgelist", edges.nbytes // (P or 1))
             if use_orient:
                 # Pangolin constructs the DAG on the device next to the
                 # input graph (footnote 3: orientation memory behaviour);
                 # the symmetric CSR is resident during construction.
                 # G2Miner's loader orients host-side (preprocessing SS4.2).
                 meter.alloc("csr_symmetric", csr.nbytes())
-        adj = spark.createDataFrame(
-            pd.DataFrame({"src": edges[:, 0], "dst": edges[:, 1]})
-        )
-        adj_parts: list[DataFrame] = []
-        if P > 0:
-            # PBE: the data graph is partitioned; extension must consult
-            # every partition (cross-partition communication).
-            whole = adj.withColumn("p", F.pmod(F.hash("src"), F.lit(P)))
-            adj_parts = [whole.filter(F.col("p") == i).drop("p") for i in range(P)]
+            adj = spark.createDataFrame(
+                pd.DataFrame({"src": edges[:, 0], "dst": edges[:, 1]})
+            )
+            adj_parts: list[DataFrame] = []
+            if P > 0:
+                # PBE: the data graph is partitioned; extension must consult
+                # every partition (cross-partition communication).
+                whole = adj.withColumn("p", F.pmod(F.hash("src"), F.lit(P)))
+                adj_parts = [whole.filter(F.col("p") == i).drop("p") for i in range(P)]
 
-        # Level-1 subgraph list: the edge list with v1's symmetry bound
-        # applied on the fly (the baselines filter rather than pre-reduce
-        # Omega — opt J is G2Miner-only).
-        level = adj.select(F.col("src").alias("v0"), F.col("dst").alias("v1"))
-        for j in plan.lower[1]:
-            level = level.filter(F.col(f"v{j}") < F.col("v1"))
+            # Level-1 subgraph list: the edge list with v1's symmetry bound
+            # applied on the fly (the baselines filter rather than pre-reduce
+            # Omega — opt J is G2Miner-only).
+            level = adj.select(F.col("src").alias("v0"), F.col("dst").alias("v1"))
+            for j in plan.lower[1]:
+                level = level.filter(F.col(f"v{j}") < F.col("v1"))
 
-        persisted: list[DataFrame] = []
-        allocated = ["csr", "csr_symmetric", "edgelist"]
-        try:
-            for lvl in range(2, plan.k):
-                level = self._extend(level, lvl, plan, adj, adj_parts)
-                if lvl == plan.k - 1:
-                    break  # leaf level: counted, never stored (Alg. 2 line 7)
-                if P == 0:
-                    level = level.persist()
-                    persisted.append(level)
-                    rows = level.count()
-                    # Subgraph list entry = lvl+1 vertex ids (SS2.3:
-                    # memory exponential in pattern size).
-                    allocated.append(f"subgraph_list_{lvl}")
-                    meter.alloc(f"subgraph_list_{lvl}", rows * (lvl + 1) * 8)
-                else:
-                    # PBE streams blocks: charge one block, not the list.
-                    # (The communication cost is already paid by the
-                    # per-partition join fan-out + union above.)
-                    allocated.append(f"block_{lvl}")
-                    meter.alloc(f"block_{lvl}", 1 << 16)
-            return level.count()
-        finally:
-            for df in persisted:
-                df.unpersist()
-            for key in allocated:
-                meter.free(key)
+            persisted: list[DataFrame] = []
+            try:
+                for lvl in range(2, plan.k):
+                    level = self._extend(level, lvl, plan, adj, adj_parts)
+                    if lvl == plan.k - 1:
+                        break  # leaf level: counted, never stored (Alg. 2 line 7)
+                    if P == 0:
+                        level = level.persist()
+                        persisted.append(level)
+                        rows = level.count()
+                        # Subgraph list entry = lvl+1 vertex ids (SS2.3:
+                        # memory exponential in pattern size).
+                        meter.alloc(f"subgraph_list_{lvl}", rows * (lvl + 1) * 8)
+                    else:
+                        # PBE streams blocks: charge one block, not the list.
+                        # (The communication cost is already paid by the
+                        # per-partition join fan-out + union above.)
+                        meter.alloc(f"block_{lvl}", 1 << 16)
+                return level.count()
+            finally:
+                for df in persisted:
+                    df.unpersist()
 
     def count_many(
         self,

@@ -93,11 +93,12 @@ class DFSConfig:
 MAX_STEP = 1 << 14
 
 
-def buffer_step(meter: memmod.MemoryMeter, words: int, devices: int) -> int:
+def buffer_step(meter: memmod.MemoryMeter, words: int) -> int:
     """Adaptive buffering (opt K): size a kernel's step from the ledger's
-    free bytes, at most ``MAX_STEP`` cells of ``words`` int64 words per
-    concurrent device, and charge it under ``"buffers"``."""
-    per = words * 8 * devices
+    free bytes, at most ``MAX_STEP`` cells of ``words`` int64 words on each
+    of ``DFSConfig.num_partitions`` concurrent devices, and charge it under
+    ``"buffers"``."""
+    per = words * 8 * DFSConfig.num_partitions
     step = max(1, min(MAX_STEP, (meter.budget - meter.resident) // per))
     meter.alloc("buffers", step * per)
     return step
@@ -328,17 +329,17 @@ class DFSEngine:
 
         The device runs the kernels one after another, so each is planned
         on the ledger alone, in that order: its graph, its tasks and its
-        buffers are charged, and freed before the next. The peak and any
-        OoM are those of running the patterns one at a time. A graph that
-        several kernels search is built once and, since pickle stores an
-        array once however many launches hold it, broadcast once.
+        buffers are charged in one ``memory.charged`` scope, released
+        before the next. The peak and any OoM are those of running the
+        patterns one at a time. A graph that several kernels search is
+        built once and, since pickle stores an array once however many
+        launches hold it, broadcast once.
         """
-        meter = meter or memmod.MemoryMeter(self.budget)
         out = []
         for pattern in patterns:
             g, plan = self._graph_and_plan(csr, pattern, induced)
-            meter.alloc("csr", g.nbytes())
-            try:
+            with memmod.charged(meter, self.budget) as m:
+                m.alloc("csr", g.nbytes())
                 if self._gpu:
                     tasks = self._edge_tasks(g, plan)
                     # Input-aware Omega management (SS5.1 + SS7.2): when the
@@ -347,18 +348,18 @@ class DFSEngine:
                     # device budget next to G. The paper's escape hatch is
                     # the vertex-parallel mode, "in which case Omega is not
                     # generated to save memory": the same kernel on root tasks.
-                    if meter.resident + tasks.nbytes > meter.budget:
+                    if m.resident + tasks.nbytes > m.budget:
                         tasks = np.arange(g.n, dtype=np.int64)
-                    meter.alloc("tasks", tasks.nbytes)
-                    step = self._frontier_step(meter, plan.k)
-                    worker = partial(_batch_worker, plan, step)
+                    m.alloc("tasks", tasks.nbytes)
+                    # The batched kernel's expansion step: candidates of k+1 words.
+                    worker = partial(_batch_worker, plan, buffer_step(m, plan.k + 1))
                 else:
                     tasks = np.arange(g.n, dtype=np.int64)
                     kernel_src = codegen.kernel_source(plan, "vertex")
                     # Adaptive buffering (opt K): X buffers of Delta words per
                     # concurrent warp (= partition here).
-                    meter.alloc("tasks", tasks.nbytes)
-                    meter.alloc(
+                    m.alloc("tasks", tasks.nbytes)
+                    m.alloc(
                         "buffers",
                         plan.num_buffers() * g.max_degree * 8 * DFSConfig.num_partitions,
                     )
@@ -367,10 +368,6 @@ class DFSEngine:
                 # "csr" charge.
                 graph = (g.indptr, g.edge_keys() if self._gpu else g.indices)
                 out.append((graph, self._schedule(tasks), worker))
-            finally:
-                meter.free("csr")
-                meter.free("tasks")
-                meter.free("buffers")
         return out
 
     # -- internals -------------------------------------------------------
@@ -393,11 +390,6 @@ class DFSEngine:
         other bound on (v0, v1). An oriented graph's DAG edges already are
         a reduced list."""
         return g.edge_tasks("lt" if plan.first_edge_reduced() else "all")
-
-    @staticmethod
-    def _frontier_step(meter: memmod.MemoryMeter, k: int) -> int:
-        """The batched kernel's expansion step: candidates of k+1 words."""
-        return buffer_step(meter, k + 1, DFSConfig.num_partitions)
 
     def _schedule(self, tasks: np.ndarray) -> np.ndarray:
         """G2Miner applies the chunked round-robin permutation (SS7.1

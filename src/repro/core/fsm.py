@@ -26,9 +26,10 @@ System variants (Table 8):
                   wedge orbits) and batched triangle checks; the paper's
                   per-orbit domain bitmaps become per-device count vectors
                   that add exactly, since every vertex has one owner.
-- ``pangolin``  — BFS with *materialised* embedding lists (persist+count,
-                  charged to the scaled GPU budget -> OoM on Yo), no label
-                  pruning.
+- ``pangolin``  — BFS with *materialised* embedding lists: two SQL queries
+                  count the wedge and triangle embeddings, whose bytes are
+                  charged to the scaled GPU budget (-> OoM on Yo) before
+                  the supports are aggregated; no label pruning.
 - ``peregrine`` — pattern-at-a-time: one Spark job per (level, frequent
                   label) slice; no cross-pattern reuse, hence slow.
 - ``distgraph`` — hand-written CPU solver: driver-side Python enumeration
@@ -44,9 +45,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import memory as memmod
-from repro.core.engine_dfs import (
-    DFSConfig, buffer_step, chunks, expand, member, run_slices,
-)
+from repro.core.engine_dfs import buffer_step, chunks, expand, member, run_slices
 from repro.graph.csr import CSRGraph, build_csr
 
 #: Python-object overhead factor for DistGraph's in-RAM embedding store
@@ -300,38 +299,31 @@ def _pruned_graph(adj, labels, sigma) -> tuple[np.ndarray, CSRGraph, np.ndarray]
 
 
 def _fsm_g2miner(spark, adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.GPU_MEM_BYTES)
     good, g, lab = _pruned_graph(adj, labels, sigma)
-    # The edge keys replace indices: the same bytes as the "graph" charge.
-    meter.alloc("graph", g.nbytes() + lab.nbytes)
-    try:
+    with memmod.charged(meter, memmod.GPU_MEM_BYTES) as meter:
+        # The edge keys replace indices: the same bytes as the "graph" charge.
+        meter.alloc("graph", g.nbytes() + lab.nbytes)
         L = len(good)
         meter.alloc("histogram", g.n * L * 8)
-        step = buffer_step(meter, 1, DFSConfig.num_partitions)
+        step = buffer_step(meter, 1)
         (vec,) = run_slices(
             spark, [((g.indptr, g.edge_keys(), lab), np.arange(g.n),
                      partial(_domain_worker, L, step))],
         )
-        return _supports(np.array(vec, dtype=np.int64), good, sigma)
-    finally:
-        for what in ("graph", "histogram", "buffers"):
-            meter.free(what)
+    return _supports(np.array(vec, dtype=np.int64), good, sigma)
 
 
 def _fsm_pangolin(spark, adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.GPU_MEM_BYTES)
-    meter.alloc("graph", adj.values.nbytes + labels.values.nbytes)
-    # No label pruning, and each level's embedding list is materialised
-    # before aggregation (the BFS subgraph list): count the embeddings and
-    # charge them against the device budget first.
-    _register_views(spark, adj, labels)
-    allocated = ["graph"]
-    try:
+    with memmod.charged(meter, memmod.GPU_MEM_BYTES) as meter:
+        meter.alloc("graph", adj.values.nbytes + labels.values.nbytes)
+        # No label pruning, and each level's embedding list is materialised
+        # before aggregation (the BFS subgraph list): count the embeddings
+        # and charge them against the device budget first.
+        _register_views(spark, adj, labels)
         wedges = spark.sql(
             "SELECT COUNT(*) c FROM adj e1 JOIN adj e2 "
             "ON e2.src = e1.src AND e1.dst < e2.dst"
         ).collect()[0][0]
-        allocated.append("wedge_embeddings")
         meter.alloc("wedge_embeddings", int(wedges) * 3 * 8)
         tris = spark.sql(
             "SELECT COUNT(*) c FROM adj e1 "
@@ -339,21 +331,16 @@ def _fsm_pangolin(spark, adj, labels, sigma, meter) -> pd.DataFrame:
             "JOIN adj e3 ON e3.src = e1.dst AND e3.dst = e2.dst "
             "WHERE e1.src < e1.dst"
         ).collect()[0][0]
-        allocated.append("tri_embeddings")
         meter.alloc("tri_embeddings", int(tris) * 3 * 8)
         parts = [
             spark.sql(support_sql(k)).toPandas() for k in ("edge", "wedge", "tri")
         ]
         return _frequent(pd.concat(parts, ignore_index=True), sigma)
-    finally:
-        for k in allocated:
-            meter.free(k)
 
 
 def _fsm_peregrine(spark, adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.CPU_MEM_BYTES)
-    meter.alloc("graph", adj.values.nbytes + labels.values.nbytes)
-    try:
+    with memmod.charged(meter, memmod.CPU_MEM_BYTES) as meter:
+        meter.alloc("graph", adj.values.nbytes + labels.values.nbytes)
         _register_views(spark, adj, labels)
         edge_tab = spark.sql(support_sql("edge")).toPandas()
         freq_edge = _frequent(edge_tab, sigma)
@@ -380,12 +367,9 @@ def _fsm_peregrine(spark, adj, labels, sigma, meter) -> pd.DataFrame:
             )
         merged = pd.concat(parts, ignore_index=True).drop_duplicates("pattern")
         return _frequent(merged, sigma)
-    finally:
-        meter.free("graph")
 
 
 def _fsm_distgraph(adj, labels, sigma, meter) -> pd.DataFrame:
-    meter = meter or memmod.MemoryMeter(memmod.CPU_MEM_BYTES)
     lab = labels.set_index("v")["label"].to_dict()
     # Input-oblivious embedding store: estimate the wedge list size from
     # degrees and charge it (with Python object overhead) before
@@ -393,9 +377,9 @@ def _fsm_distgraph(adj, labels, sigma, meter) -> pd.DataFrame:
     # both directions, so the src column alone gives each vertex's degree.
     deg = adj["src"].value_counts()
     est_wedges = int((deg * (deg - 1) // 2).sum())
-    meter.alloc("graph", adj.values.nbytes)
-    meter.alloc("embeddings", est_wedges * 3 * 8 * _DISTGRAPH_OVERHEAD)
-    try:
+    with memmod.charged(meter, memmod.CPU_MEM_BYTES) as meter:
+        meter.alloc("graph", adj.values.nbytes)
+        meter.alloc("embeddings", est_wedges * 3 * 8 * _DISTGRAPH_OVERHEAD)
         nbrs: dict[int, list[int]] = {}
         for s_, d_ in adj.itertuples(index=False):
             nbrs.setdefault(int(s_), []).append(int(d_))
@@ -441,6 +425,3 @@ def _fsm_distgraph(adj, labels, sigma, meter) -> pd.DataFrame:
             rows.append((key, sup))
         pdf = pd.DataFrame(rows, columns=["pattern", "support"])
         return _frequent(pdf, sigma)
-    finally:
-        meter.free("graph")
-        meter.free("embeddings")

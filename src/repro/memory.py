@@ -7,7 +7,8 @@ Every engine *accounts* its resident structures (CSR, task edgelist,
 subgraph lists, FSM embedding lists) against its budget via ``MemoryMeter``
 and raises ``OutOfMemoryError`` the moment the ledger exceeds it — so the
 OoM pattern in the tables is produced by real intermediate sizes, not by a
-lookup table.
+lookup table. An engine run charges inside one ``charged`` scope, which
+releases everything the run charged when it ends, by return or by OoM.
 
 Budget calibration (documented in DESIGN.md SS2): GPU_MEM_BYTES is set so
 that for triangle counting the *oriented* structures of our Fr fit while
@@ -15,6 +16,9 @@ Tw4/Uk do not (Pangolin's Table 4 frontier), and the CPU budget is larger
 by the paper's 190/32 ratio.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 #: V100's 32 GB, scaled to the synthetic graph sizes. Calibrated (see the
 #: calibration constraints in DESIGN.md SS2) so the paper's capacity
@@ -55,5 +59,17 @@ class MemoryMeter:
         if self.resident > self.budget:
             raise OutOfMemoryError(self, what)
 
-    def free(self, what: str) -> None:
-        self.resident -= self.ledger.pop(what, 0)
+
+@contextmanager
+def charged(meter: MemoryMeter | None, budget: int) -> Iterator[MemoryMeter]:
+    """Scope of one engine run's charges: yields ``meter``, or a fresh
+    ``MemoryMeter(budget)`` when none is given. On exit, by return or by
+    exception, ``resident`` and ``ledger`` are restored to their values on
+    entry, so the run's charges are released whichever allocation failed;
+    ``peak`` keeps the run's high-water mark."""
+    meter = meter if meter is not None else MemoryMeter(budget)
+    resident, ledger = meter.resident, dict(meter.ledger)
+    try:
+        yield meter
+    finally:
+        meter.resident, meter.ledger = resident, ledger

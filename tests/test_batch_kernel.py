@@ -11,7 +11,9 @@ import pytest
 
 from repro import memory as memmod
 from repro.core import codegen, counting
-from repro.core.engine_dfs import MAX_STEP, DFSConfig, DFSEngine, batch_count, run_slices
+from repro.core.engine_dfs import (
+    MAX_STEP, DFSConfig, DFSEngine, batch_count, buffer_step, run_slices,
+)
 from repro.core.pattern import clique, cycle, diamond, motifs, path, star, tailed_triangle
 from repro.core.plan import build_plan
 from repro.core.setops import BACKENDS, Counter
@@ -214,12 +216,11 @@ def test_edge_mode_rejects_python_setops():
 
 
 def test_frontier_step_sized_from_free_bytes():
-    eng = DFSEngine()
     per = 5 * 8 * DFSConfig.num_partitions
     meter = memmod.MemoryMeter(1000 + 37 * per + 3)
     meter.alloc("csr", 1000)
-    assert eng._frontier_step(meter, 4) == 37
+    assert buffer_step(meter, 5) == 37
     assert meter.resident <= meter.budget
     roomy = memmod.MemoryMeter(BIG)
-    assert eng._frontier_step(roomy, 4) == MAX_STEP
+    assert buffer_step(roomy, 5) == MAX_STEP
     assert roomy.resident == MAX_STEP * per

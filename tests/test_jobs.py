@@ -1,23 +1,31 @@
 """Tests of the experiment runners: the benchmark suite's table module
 runs the harness's cells under ids that select one table, a partial run
-keeps the other rows of a results CSV, and the jobs/ scripts parse."""
+keeps the other rows of a results CSV, the jobs/ scripts parse, and the
+names perfbench's tracer wraps exist."""
 import importlib.util
+import inspect
 import os
 import py_compile
 
 import pandas as pd
 import pytest
 
-from repro.harness import TABLES, table_cells
+from repro.core.pattern import clique
+from repro.core.plan import build_plan
+from repro.core.setops import BACKENDS
+from repro.harness import TABLES, get_csr, table_cells
+from repro.memory import MemoryMeter
 
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
-def load_bench(fname):
-    """Import a benchmarks/ module (tier-1 does not collect the suite)."""
+def load_bench(fname, folder=BENCH_DIR):
+    """Import a benchmarks/ or perfbench/ module (tier-1 collects
+    neither suite)."""
     spec = importlib.util.spec_from_file_location(
-        f"bench_{fname[:-3]}", os.path.join(BENCH_DIR, fname)
+        f"bench_{os.path.basename(folder)}_{fname[:-3]}", os.path.join(folder, fname)
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -76,3 +84,31 @@ def test_partial_run_merges_into_results(monkeypatch, tmp_path):
     sched = pd.read_csv(tmp_path / "sched_scaling.csv")
     assert sched.n_gpus.tolist() == [1, 2, 3]
     assert sched.speedup.tolist() == [1.0, 1.9, 2.4]
+
+
+def test_perfbench_tracer_finds_the_names_it_wraps():
+    """perfbench/tracing.py wraps ``repro`` functions by name, and tier-1
+    does not run the perfbench suite. Entering ``Tracer().patched()`` finds
+    every wrapped name, leaving it restores each one, and the kernel replay
+    compiles a vertex kernel and times it over both set-op backends."""
+    tracing = load_bench("tracing.py", PERFBENCH_DIR)
+    owners = [m for m in vars(tracing).values()
+              if inspect.ismodule(m) and m.__name__.startswith("repro.")]
+    owners += [c for m in owners for c in vars(m).values()
+               if inspect.isclass(c) and c.__module__ == m.__name__]
+    before = [dict(vars(o)) for o in owners]
+
+    def changed():
+        return {(o.__name__, k) for o, old in zip(owners, before)
+                for k, v in vars(o).items() if old.get(k) is not v}
+
+    alloc = MemoryMeter.__dict__["alloc"]
+    with tracing.Tracer().patched():
+        assert MemoryMeter.__dict__["alloc"] is not alloc
+        assert ("MemoryMeter", "alloc") in changed()
+    assert MemoryMeter.__dict__["alloc"] is alloc
+    assert changed() == set()
+    for backend in BACKENDS:
+        rec = {"graph": get_csr("tiny"), "plan": build_plan(clique(3), induced=False),
+               "mode": "vertex", "reduced": True, "setops": backend}
+        assert tracing.replay_kernel(rec)["calls"] > 0
