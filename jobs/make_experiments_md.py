@@ -75,16 +75,22 @@ def render_sched() -> str:
     return "\n".join(lines)
 
 
-def main():
-    md_path = os.path.join(ROOT, "EXPERIMENTS.md")
-    with open(md_path) as f:
-        head = f.read().split("<!-- RESULTS -->")[0]
-    parts = [head + "<!-- RESULTS -->", ""]
+def experiments_md(text: str) -> str:
+    """EXPERIMENTS.md's ``text`` up to the ``<!-- RESULTS -->`` marker,
+    followed by the tables rendered from the results CSVs."""
+    parts = [text.split("<!-- RESULTS -->")[0] + "<!-- RESULTS -->", ""]
     for name, title in TABLES:
         parts.append(render(name, title))
     parts.append(render_sched())
+    return "\n".join(parts)
+
+
+def main():
+    md_path = os.path.join(ROOT, "EXPERIMENTS.md")
+    with open(md_path) as f:
+        text = f.read()
     with open(md_path, "w") as f:
-        f.write("\n".join(parts))
+        f.write(experiments_md(text))
     print(f"wrote {md_path}")
 
 

@@ -8,7 +8,7 @@
 - ``setops``     — the device-primitive library: vectorised / scalar set
                    operations.
 - ``engine_dfs`` — the G2Miner execution engine: warp-centric (task-batched)
-                   DFS over Spark with edge/vertex parallelism, orientation.
+                   DFS over Spark on edge or vertex tasks, orientation.
 - ``engine_bfs`` — the Pangolin/PBE-style BFS engine as Catalyst join chains.
 - ``counting``   — counting-only pruning via pattern decomposition.
 - ``motifs``     — k-motif counting drivers (multi-pattern).

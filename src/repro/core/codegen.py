@@ -9,7 +9,7 @@ kernels. This port generates two artifacts from the same ``SearchPlan``:
    written by one emitter in a single pass over the plan's levels and
    compiled with ``exec``. One kernel per pattern, exactly like one CUDA
    kernel per pattern, with a root vertex as the task: the CPU systems'
-   vertex parallelism. G2Miner itself runs the level-generic batched
+   vertex-parallel tasks. G2Miner itself runs the level-generic batched
    kernel of ``engine_dfs``, which needs no generated code. The generated
    source is kept on the function object (``kernel.__source__``) for
    inspection/tests.
@@ -62,7 +62,7 @@ def kernel_source(plan: SearchPlan, mode: str) -> str:
     """Generate the DFS kernel source for ``plan``.
 
     The task is a root vertex v0 and the kernel owns the v1 loop: the
-    CPU systems' vertex parallelism. ``mode`` must be ``'vertex'``;
+    CPU systems' vertex-parallel tasks. ``mode`` must be ``'vertex'``;
     G2Miner's edge tasks run the batched kernel
     (``engine_dfs.batch_count``), which is not generated.
     """

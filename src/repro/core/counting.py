@@ -31,6 +31,7 @@ from itertools import combinations
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro import memory as memmod
 from repro.core.engine_dfs import (
     MAX_STEP, DFSEngine, Launch, chunks, expand, member, run_slices,
 )
@@ -108,17 +109,24 @@ def _stats_scalar(backend: str, graph, tasks):
     return t_sum, d_sum, paw3
 
 
-def stats_launch(csr: CSRGraph, *, backend: str) -> Launch:
+def stats_launch(csr: CSRGraph, engine: DFSEngine) -> Launch:
     """The stats sweep's launch over the reduced edgelist (``run_slices``).
 
-    The ``numpy`` backend sweeps each device's slice with the batched
-    kernel's code; the ``python`` backend (Peregrine) keeps a scalar
-    per-edge loop.
+    The sweep runs with the engine's ``setops``: ``"batched"`` (G2Miner)
+    sweeps each device's slice with the batched kernel's code, a set-op
+    backend (Peregrine's ``"python"``) keeps a per-edge loop. Its graph and
+    tasks are charged to the engine's budget in one ``memory.charged``
+    scope, as ``DFSEngine.launches`` charges a kernel; the sweep's step
+    stays ``MAX_STEP``.
     """
     tasks = csr.edge_tasks("gt")
-    if backend == "numpy":
+    with memmod.charged(None, engine.budget) as m:
+        m.alloc("csr", csr.nbytes())
+        m.alloc("tasks", tasks.nbytes)
+    setops = engine.cfg.setops
+    if setops == "batched":
         return (csr.indptr, csr.edge_keys()), tasks, _stats_batch
-    return (csr.indptr, csr.indices), tasks, partial(_stats_scalar, backend)
+    return (csr.indptr, csr.indices), tasks, partial(_stats_scalar, setops)
 
 
 def _stats(vec: tuple[int, ...]) -> dict[str, int]:
@@ -127,10 +135,10 @@ def _stats(vec: tuple[int, ...]) -> dict[str, int]:
 
 
 def edge_triangle_stats(
-    spark: SparkSession, csr: CSRGraph, *, backend: str
+    spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> dict[str, int]:
     """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}."""
-    (vec,) = run_slices(spark, [stats_launch(csr, backend=backend)])
+    (vec,) = run_slices(spark, [stats_launch(csr, engine)])
     return _stats(vec)
 
 
@@ -150,18 +158,19 @@ def count4_counting_only(
 ) -> dict[str, int]:
     """All six induced 4-motif counts from decompositions + two real
     enumerations (4-clique, 4-cycle); the stats sweep uses the engine's
-    set-op backend. The sweep and both kernels launch in one Spark job."""
+    ``setops``, and its edgelist gives the non-induced 4-path count. The
+    sweep and both kernels launch in one Spark job."""
     # 4-cycle has no decomposition (SS5.4).
     kernels = engine.launches(csr, [clique(4), cycle(4)])
-    vec, (k4, _), (c4_non, _) = run_slices(
-        spark, [stats_launch(csr, backend=engine.cfg.setops), *kernels]
-    )
+    sweep = stats_launch(csr, engine)
+    vec, (k4, _), (c4_non, _) = run_slices(spark, [sweep, *kernels])
     stats = _stats(vec)
     t = stats["T"]
     deg = csr.degrees.astype(np.int64)
     claw_non = int((deg * (deg - 1) * (deg - 2) // 6).sum())
-    # Non-induced P4: sum over undirected edges of (d_u-1)(d_v-1) - 3T.
-    e = csr.edge_tasks("gt")
+    # Non-induced P4: sum over the sweep's undirected edges of
+    # (d_u-1)(d_v-1) - 3T.
+    e = sweep[1]
     p4_non = int(((deg[e[:, 0]] - 1) * (deg[e[:, 1]] - 1)).sum()) - 3 * t
     non_induced = np.array(
         [p4_non, claw_non, stats["paw_non"], c4_non, stats["diamond_non"], k4],
@@ -179,5 +188,5 @@ def diamond_counting_only(
     spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> int:
     """Algorithm 3: edge-induced diamond count = sum_e C(t_e, 2), swept
-    with the engine's set-op backend."""
-    return edge_triangle_stats(spark, csr, backend=engine.cfg.setops)["diamond_non"]
+    with the engine's ``setops``."""
+    return edge_triangle_stats(spark, csr, engine=engine)["diamond_non"]

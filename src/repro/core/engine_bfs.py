@@ -22,8 +22,6 @@ Both modes charge the GPU budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -34,18 +32,12 @@ from repro.core.plan import SearchPlan, build_plan, oriented_clique_plan
 from repro.graph.csr import CSRGraph
 
 
-@dataclass(frozen=True)
-class BFSConfig:
-    """Configuration of the BFS engine: 0 is Pangolin, P > 0 is PBE."""
-
-    adj_partitions: int = 0  # P-way partitioned adjacency (PBE); 0 = Pangolin
-
-
 class BFSEngine:
     """Level-by-level subgraph-list extension as Catalyst join chains."""
 
-    def __init__(self, config: BFSConfig | None = None):
-        self.cfg = config or BFSConfig()
+    def __init__(self, adj_partitions: int = 0):
+        #: P-way partitioned adjacency: 0 is Pangolin, P > 0 is PBE.
+        self.adj_partitions = adj_partitions
 
     @property
     def budget(self) -> int:
@@ -67,7 +59,7 @@ class BFSEngine:
         Raises ``OutOfMemoryError`` if the materialised subgraph lists
         exceed the engine's device budget (Pangolin mode).
         """
-        P = self.cfg.adj_partitions
+        P = self.adj_partitions
         # For cliques, vertex- and edge-induced matches coincide (SS2.1),
         # so Pangolin orients regardless of the induced flag.
         use_orient = pattern.is_clique() and P == 0

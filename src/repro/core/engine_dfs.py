@@ -1,7 +1,7 @@
 """The G2Miner execution engine: DFS search on Spark (paper SS5-SS7).
 
-Execution model (the warp-centric two-level parallelism of SS5.1, ported to
-the Spark dataflow model):
+Execution model (SS5.1's warp-centric two-level parallel execution, ported
+to the Spark dataflow model):
 
 - *Tasks* are edges or root vertices: a numpy task array, broadcast once
   with the graph. ``run_slices`` gives each Spark partition one
@@ -31,11 +31,12 @@ the Spark dataflow model):
   of the paper's LGS, opt E) with membership tested on the sorted edge
   keys in place of a dense bitmap (opt F).
 
-``DFSConfig.parallelism`` picks the whole bundle. ``"edge"`` is G2Miner on
-the GPU: the batched kernel, orientation for cliques, tasks pre-permuted
-with the chunked round-robin order (SS7.1 policy 3) and the GPU budget.
-``"vertex"`` is the CPU systems: the generated kernel on vertex tasks, no
-orientation, tasks in natural order and the host budget.
+``DFSConfig.setops`` picks the whole bundle. ``"batched"`` is G2Miner on
+the GPU: the batched kernel on edge tasks, orientation for cliques, tasks
+pre-permuted with the chunked round-robin order (SS7.1 policy 3) and the
+GPU budget. ``"numpy"`` (GraphZero) and ``"python"`` (Peregrine) are the
+CPU systems: the generated kernel on vertex tasks with that set-op
+backend, no orientation, tasks in natural order and the host budget.
 
 The engine accounts all materialised state against a device-memory budget
 (``repro.memory``). ``per_task_costs`` measures G2Miner's batched kernel one
@@ -62,28 +63,21 @@ from repro.sched.policies import CHUNK, chunked_round_robin_order
 
 @dataclass(frozen=True)
 class DFSConfig:
-    """Engine configuration: the parallelism mode and the set-op backend.
+    """Engine configuration: the set-op strategy, which picks the rest
+    (see the module docstring)."""
 
-    The system facades in ``repro/systems/`` are specific settings of this;
-    every other Table 2 optimisation follows from ``parallelism`` (see the
-    module docstring).
-    """
-
-    #: 'edge' (G2Miner: the batched kernel on edge tasks, or on root
-    #: vertices when Omega does not fit) | 'vertex' (CPU systems: the
-    #: generated kernel on root vertices)
-    parallelism: str = "edge"
-    setops: str = "numpy"  # 'numpy' (SIMD/warp analog) | 'python' (scalar)
+    #: 'batched' (G2Miner: the batched kernel on edge tasks, or on root
+    #: vertices when Omega does not fit) | 'numpy' (GraphZero: the generated
+    #: kernel, vectorised set ops per call) | 'python' (Peregrine: the
+    #: generated kernel, scalar set ops)
+    setops: str = "batched"
     #: Concurrent devices the chunked round-robin order and the buffer
     #: charges assume. Fixed, so the ledger does not depend on the host.
     num_partitions: ClassVar[int] = 16
 
     def __post_init__(self):
-        if self.parallelism == "edge" and self.setops != "numpy":
-            raise ValueError(
-                "edge parallelism runs the batched numpy kernel; "
-                f"setops={self.setops!r} needs parallelism='vertex'"
-            )
+        if self.setops != "batched" and self.setops not in BACKENDS:
+            raise ValueError(f"unknown setops {self.setops!r}")
 
 
 # -- batched kernel (G2Miner) --------------------------------------------
@@ -271,7 +265,7 @@ class DFSEngine:
 
     def __init__(self, config: DFSConfig | None = None):
         self.cfg = config or DFSConfig()
-        self._gpu = self.cfg.parallelism == "edge"
+        self._gpu = self.cfg.setops == "batched"
         self.last_ops = 0  # measured set-op work of the last run
 
     @property

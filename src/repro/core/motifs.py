@@ -8,7 +8,7 @@ kernels); here each pattern is one kernel, and a DFS engine launches all of
 them together, in one Spark job. Peregrine's documented behaviour — it "does
 not mine multiple patterns simultaneously" — is the same one kernel per
 pattern, so the systems differ where they truly differ: search order,
-parallelism and set-op backend. A BFS engine counts pattern after pattern.
+task granularity and set-op backend. A BFS engine counts pattern after pattern.
 
 For the counting-only variants (Table 9) see ``repro.core.counting``.
 """

@@ -204,15 +204,16 @@ def test_run_slices_runs_each_launch_on_its_own_tasks(spark):
 @pytest.mark.parametrize("name", ["tiny", "tiny_skew"])
 def test_edge_triangle_stats_backends_agree(spark, name):
     gg = tiny(name)
-    a = counting.edge_triangle_stats(spark, gg, backend="numpy")
-    b = counting.edge_triangle_stats(spark, gg, backend="python")
+    a = counting.edge_triangle_stats(spark, gg, engine=DFSEngine())
+    b = counting.edge_triangle_stats(spark, gg, engine=DFSEngine(DFSConfig("python")))
     assert a == b
 
 
-def test_edge_mode_rejects_python_setops():
+def test_unknown_setops_rejected():
     with pytest.raises(ValueError):
-        DFSConfig(parallelism="edge", setops="python")
-    DFSConfig(parallelism="vertex", setops="python")
+        DFSConfig("edge")
+    for setops in ("batched", "numpy", "python"):
+        DFSConfig(setops)
 
 
 def test_frontier_step_sized_from_free_bytes():

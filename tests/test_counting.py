@@ -6,13 +6,14 @@ import pytest
 from repro import memory as memmod
 from repro.core import codegen, counting
 from repro.core.counting import MOTIF4_NAMES, conversion_matrix
-from repro.core.engine_dfs import DFSEngine
+from repro.core.engine_dfs import DFSConfig, DFSEngine
 from repro.core.motifs import count_motifs
 from repro.core.pattern import clique, diamond
 from repro.core.plan import build_plan
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
 from repro.oracle import assert_equivalent
+from repro.systems import SYSTEMS
 
 BIG = 1 << 40
 
@@ -97,17 +98,29 @@ def test_diamond_counting_only_equals_dfs(spark, g):
 
 
 def test_python_backend_stats_agree(spark, g):
-    a = counting.edge_triangle_stats(spark, g, backend="numpy")
-    b = counting.edge_triangle_stats(spark, g, backend="python")
+    a = counting.edge_triangle_stats(spark, g, engine=DFSEngine())
+    b = counting.edge_triangle_stats(spark, g, engine=DFSEngine(DFSConfig("python")))
     assert a == b
 
 
+@pytest.mark.parametrize("system", ["G2Miner", "Peregrine"])
+def test_counting_sweep_charges_the_ledger(spark, g, monkeypatch, system):
+    """The stats sweep charges its graph and its tasks to the engine's
+    device budget, as a kernel launch does: with room for the graph alone
+    it runs out at its tasks."""
+    monkeypatch.setattr(memmod, "GPU_MEM_BYTES", g.nbytes() + 8)
+    monkeypatch.setattr(memmod, "CPU_MEM_BYTES", g.nbytes() + 8)
+    with pytest.raises(memmod.OutOfMemoryError) as e:
+        counting.diamond_counting_only(spark, g, engine=SYSTEMS[system].make_engine())
+    assert e.value.what == "tasks"
+
+
 def test_edge_triangle_stats_T_matches_tc(spark, g):
-    stats = counting.edge_triangle_stats(spark, g, backend="numpy")
+    stats = counting.edge_triangle_stats(spark, g, engine=DFSEngine())
     assert stats["T"] == DFSEngine().count(spark, g, clique(3), meter=memmod.MemoryMeter(BIG))
 
 
 def test_stats_keys(spark, g):
-    stats = counting.edge_triangle_stats(spark, g, backend="numpy")
+    stats = counting.edge_triangle_stats(spark, g, engine=DFSEngine())
     assert set(stats) == {"T", "diamond_non", "paw_non"}
     assert all(v >= 0 for v in stats.values())

@@ -5,7 +5,7 @@ import pytest
 
 from repro import memory as memmod
 from repro.core import codegen
-from repro.core.engine_bfs import BFSConfig, BFSEngine
+from repro.core.engine_bfs import BFSEngine
 from repro.core.engine_dfs import DFSEngine
 from repro.core.pattern import clique, cycle, diamond, path, star
 from repro.core.plan import build_plan
@@ -50,7 +50,7 @@ def test_pangolin_mode_matches_oracle(spark, g, adj, p, induced):
 
 @pytest.mark.parametrize("p,induced", CASES[:5], ids=IDS[:5])
 def test_pbe_mode_matches_oracle(spark, g, adj, p, induced):
-    check(spark, g, adj, BFSEngine(BFSConfig(adj_partitions=3)), p, induced)
+    check(spark, g, adj, BFSEngine(adj_partitions=3), p, induced)
 
 
 def test_bfs_equals_dfs(spark, g):
@@ -78,7 +78,7 @@ def test_pangolin_k3_needs_no_intermediate(spark, g):
 
 def test_pbe_never_oom_with_block_streaming(spark, g):
     base = g.nbytes() + g.edge_tasks("all").nbytes
-    eng = BFSEngine(BFSConfig(adj_partitions=3))
+    eng = BFSEngine(adj_partitions=3)
     assert eng.count(spark, g, clique(4), meter=memmod.MemoryMeter(base + (1 << 18))) > 0
 
 

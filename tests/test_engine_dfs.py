@@ -52,13 +52,13 @@ def test_default_engine_matches_oracle(spark, g, adj, p, induced):
 
 @pytest.mark.parametrize("p", [clique(3), clique(4), diamond()], ids=lambda p: p.name)
 def test_vertex_parallel_matches_oracle(spark, g, adj, p):
-    eng = DFSEngine(DFSConfig(parallelism="vertex"))
+    eng = DFSEngine(DFSConfig("numpy"))
     check(spark, g, adj, eng, p)
 
 
 @pytest.mark.parametrize("p", [clique(3), diamond()], ids=lambda p: p.name)
 def test_python_backend_matches_oracle(spark, g, adj, p):
-    eng = DFSEngine(DFSConfig(parallelism="vertex", setops="python"))
+    eng = DFSEngine(DFSConfig("python"))
     check(spark, g, adj, eng, p)
 
 
@@ -85,7 +85,7 @@ def test_vertex_fallback_keeps_g2miner_schedule(spark, g, monkeypatch):
     assert orders == [g.n, 2 * g.num_edges]  # vertex tasks, then Omega, permuted
     assert meter.resident == 0
     assert meter.peak <= meter.budget
-    assert got == DFSEngine(DFSConfig(parallelism="vertex")).count(spark, g, p, induced=True)
+    assert got == DFSEngine(DFSConfig("numpy")).count(spark, g, p, induced=True)
     assert len(orders) == 2  # the CPU setting keeps natural order
 
 

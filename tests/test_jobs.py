@@ -1,7 +1,8 @@
 """Tests of the experiment runners: the benchmark suite's table module
 runs the harness's cells under ids that select one table, a partial run
-keeps the other rows of a results CSV, the jobs/ scripts parse, and the
-names perfbench's tracer wraps exist."""
+keeps the other rows of a results CSV, the jobs/ scripts parse,
+EXPERIMENTS.md is up to date with the results CSVs, and the names
+perfbench's tracer wraps exist."""
 import importlib.util
 import inspect
 import os
@@ -22,8 +23,8 @@ PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def load_bench(fname, folder=BENCH_DIR):
-    """Import a benchmarks/ or perfbench/ module (tier-1 collects
-    neither suite)."""
+    """Import a module of benchmarks/, perfbench/ or jobs/ by path
+    (tier-1 collects none of them)."""
     spec = importlib.util.spec_from_file_location(
         f"bench_{os.path.basename(folder)}_{fname[:-3]}", os.path.join(folder, fname)
     )
@@ -35,6 +36,16 @@ def load_bench(fname, folder=BENCH_DIR):
 @pytest.mark.parametrize("fname", ["make_experiments_md.py"])
 def test_job_compiles(fname):
     py_compile.compile(os.path.join(JOBS_DIR, fname), doraise=True)
+
+
+def test_experiments_md_matches_results():
+    """EXPERIMENTS.md's result tables are the ones rendered from the
+    checked-in results CSVs: regenerate it after a benchmark run with
+    ``python jobs/make_experiments_md.py``."""
+    make_md = load_bench("make_experiments_md.py", JOBS_DIR)
+    with open(os.path.join(JOBS_DIR, "..", "EXPERIMENTS.md")) as f:
+        text = f.read()
+    assert text == make_md.experiments_md(text)
 
 
 @pytest.mark.parametrize("no", [4, 5, 6, 7, 8, 9])

@@ -1,16 +1,18 @@
-"""System-facade tests: the registry must encode the paper's Table 1, and
+"""System tests: the systems table must encode the paper's Table 1, and
 all systems must agree on counts (they differ only in how, not what)."""
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from repro import memory as memmod
-from repro.core.engine_bfs import BFSConfig
+from repro.core.engine_bfs import BFSEngine
 from repro.core.engine_dfs import DFSConfig
 from repro.core.pattern import clique, cycle, diamond
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.gen import generate_graph
+from repro.harness import TABLES, table_cells
 from repro.systems import SYSTEMS, System
 
 GPU, CPU = memmod.GPU_MEM_BYTES, memmod.CPU_MEM_BYTES
@@ -44,6 +46,21 @@ def test_support_matrix_matches_paper(name, workload, supported):
     assert (workload in SYSTEMS[name].supports) == supported
 
 
+CELLS = [c for no in TABLES for c in table_cells(no)]
+
+
+def test_every_table_cell_is_supported():
+    """Every Table 4-9 cell runs a workload its system supports."""
+    assert len(CELLS) == 208
+    assert [c for c in CELLS if c[1][0] not in SYSTEMS[c[0]].supports] == []
+
+
+def test_every_support_flag_is_used():
+    """Every workload a system supports appears in one of its cells."""
+    used = {(system, workload[0]) for system, workload, _, _ in CELLS}
+    assert {(s.name, k) for s in SYSTEMS.values() for k in s.supports} <= used
+
+
 def test_fsm_variants_wired():
     assert SYSTEMS["G2Miner"].fsm_variant == "g2miner"
     assert SYSTEMS["Pangolin"].fsm_variant == "pangolin"
@@ -53,8 +70,8 @@ def test_fsm_variants_wired():
 
 
 def test_distgraph_engine_is_fsm_only():
-    with pytest.raises(NotImplementedError):
-        SYSTEMS["DistGraph"].make_engine()
+    assert SYSTEMS["DistGraph"].make_engine is None
+    assert SYSTEMS["DistGraph"].supports == {"fsm"}
 
 
 @pytest.mark.parametrize("p", [clique(3), clique(4), diamond(), cycle(4)],
@@ -79,8 +96,8 @@ def test_g2miner_uses_gpu_budget():
 # -- each system is one engine setting; the rest follows from it ---------
 
 def test_settable_values():
-    assert len(dataclasses.fields(DFSConfig)) == 2
-    assert len(dataclasses.fields(BFSConfig)) == 1
+    assert [f.name for f in dataclasses.fields(DFSConfig)] == ["setops"]
+    assert list(inspect.signature(BFSEngine).parameters) == ["adj_partitions"]
     assert len(dataclasses.fields(System)) == 4
 
 
