@@ -4,12 +4,35 @@ The cases are ``harness.table_cells`` of every table, in the paper's
 order, with ids ``tableN-system-workload-graph``; ``-k table7`` runs one
 table and ``-k "table5 and G2Miner"`` a subset of one.
 """
+import os
+
+import pandas as pd
 import pytest
 
 from repro.harness import TABLES, cell_row, run_cell, table_cells
 
 CELLS = [(no, *cell) for no in TABLES for cell in table_cells(no)]
 IDS = [f"table{no}-{s}-{'/'.join(str(x) for x in w)}-{g}" for no, s, w, g, _ in CELLS]
+
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def reference_values() -> dict[tuple[str, str], int]:
+    """(workload, graph) -> the value of that cell's finished rows in the
+    checked-in ``results/tableN.csv`` (one value per key: checked by
+    ``tests/test_jobs.py``)."""
+    ref = {}
+    for no in TABLES:
+        path = os.path.join(RESULTS_DIR, f"table{no}.csv")
+        if os.path.exists(path):
+            df = pd.read_csv(path)
+            done = df[df.status == "ok"]
+            ref.update({(w, g): int(v) for w, g, v in zip(done.workload, done.graph, done.value)})
+    return ref
+
+
+#: Read at import, before this session's results overwrite the CSVs.
+REFERENCE = reference_values()
 
 #: (workload, graph) -> (system, value) of the first system that finished
 #: that cell in this session.
@@ -24,7 +47,8 @@ def bench_cell(
     ours-vs-paper. OoM/TO are valid outcomes (they ARE the paper's cells);
     unexpected errors fail the benchmark, and so does a finished cell whose
     value (a motif table compared whole) differs from that of another
-    system that finished the same cell."""
+    system that finished the same cell, or from the checked-in results'
+    value for its workload and graph."""
     result = benchmark.pedantic(
         lambda: run_cell(spark, system, workload, graph), rounds=1, iterations=1
     )
@@ -37,6 +61,10 @@ def bench_cell(
         assert result.value == value, (
             f"{system} and {first} disagree on {row['workload']} {graph}: "
             f"{result.value!r} != {value!r}"
+        )
+        want = REFERENCE.get((row["workload"], graph))
+        assert want is None or row["value"] == want, (
+            f"{system} {row['workload']} {graph}: {row['value']} != reference {want}"
         )
 
 

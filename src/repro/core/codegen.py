@@ -32,15 +32,13 @@ def _emit_level(plan: SearchPlan, i: int, lines: list[str], ind: str,
 
     The candidate set starts as ``N{conn[i][0]}`` and each of the level's
     constraints is one set-op call on it: intersect with the other
-    pattern neighbours, difference with the non-neighbours (vertex-induced
-    only), the symmetry bounds (``bound_lower``: the plan's only kind of
-    bound), then the identity exclusions. The leaf counts its set with
-    ``len`` (the paper's counting at the leaf); any other level loops over
-    it.
+    pattern neighbours, difference with the plan's ``anti``, the symmetry
+    bounds (``bound_lower``: the plan's only kind of bound), then the
+    identity exclusions. The leaf counts its set with ``len`` (the paper's
+    counting at the leaf); any other level loops over it.
     """
     calls = [("intersect", f"N{j}") for j in plan.conn[i][1:]]
-    if plan.induced:
-        calls += [("difference", f"N{j}") for j in plan.anti[i]]
+    calls += [("difference", f"N{j}") for j in plan.anti[i]]
     calls += [("bound_lower", f"v{j}") for j in plan.lower[i]]
     if plan.excl[i]:
         calls.append(("remove", "(" + ", ".join(f"v{j}" for j in plan.excl[i]) + ",)"))
@@ -70,9 +68,7 @@ def kernel_source(plan: SearchPlan, mode: str) -> str:
         raise ValueError(f"bad mode {mode!r}")
     k = plan.k
     # Positions whose neighbour list a deeper level reads.
-    needed = {j for i in range(2, k) for j in plan.conn[i]}
-    if plan.induced:
-        needed |= {j for i in range(2, k) for j in plan.anti[i]}
+    needed = {j for i in range(2, k) for j in plan.conn[i] + plan.anti[i]}
     lines = [
         "def kernel(v0, indptr, indices, ops, ctr):",
         "    total = 0",
@@ -105,8 +101,8 @@ def pattern_sql(plan: SearchPlan) -> str:
 
     The query introduces data vertices in matching order: v0, v1 come from
     the first adjacency row; each later level joins one adjacency row per
-    pattern edge, adds NOT EXISTS per anti-edge (vertex-induced only),
-    and exclusion predicates; then one ``v_j < v_i`` per symmetry bound.
+    pattern edge, adds NOT EXISTS per member of the plan's ``anti``, and
+    exclusion predicates; then one ``v_j < v_i`` per symmetry bound.
     Returns one row ``cnt``.
     """
     k = plan.k
@@ -126,12 +122,11 @@ def pattern_sql(plan: SearchPlan) -> str:
             joins.append(f"adj {al}")
             preds.append(f"{al}.src = {v[j]}")
             preds.append(f"{al}.dst = {v[i]}")
-        if plan.induced:
-            for j in plan.anti[i]:
-                preds.append(
-                    f"NOT EXISTS (SELECT 1 FROM adj x{i}_{j} "
-                    f"WHERE x{i}_{j}.src = {v[j]} AND x{i}_{j}.dst = {v[i]})"
-                )
+        for j in plan.anti[i]:
+            preds.append(
+                f"NOT EXISTS (SELECT 1 FROM adj x{i}_{j} "
+                f"WHERE x{i}_{j}.src = {v[j]} AND x{i}_{j}.dst = {v[i]})"
+            )
         for j in plan.excl[i]:
             preds.append(f"{v[i]} <> {v[j]}")
     for i in range(1, k):

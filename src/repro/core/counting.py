@@ -18,10 +18,10 @@ enumeration.
 
 The per-edge triangle statistics pass (``stats_launch``) is one
 sweep (an ``engine_dfs.run_slices`` launch) over the reduced edgelist
-computing, per edge (u, v): t_e = |N(u) ∩ N(v)| and the degree sums over
-the triangle apexes — enough for T, the non-induced diamond count, and the
-non-induced tailed-triangle count in a single pass (the W-buffer reuse of
-Algorithm 1).
+computing, per edge (u, v), t_e = |N(u) ∩ N(v)| and summing closed forms
+of t_e and the two endpoint degrees (``_edge_sums``) — enough for T and the
+non-induced diamond, tailed-triangle and 4-path counts in a single pass
+(the W-buffer reuse of Algorithm 1).
 """
 from __future__ import annotations
 
@@ -71,22 +71,30 @@ def conversion_matrix() -> np.ndarray:
     return M
 
 
+def _edge_sums(t: np.ndarray, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The sweep's sums over edges (u, v) with t common neighbours:
+    sum t (= 3T), sum C(t, 2) (= non-induced diamonds), sum t(d_u+d_v-4)
+    (= 2 paws: each triangle vertex w has d_w - 2 tails, and w lies on two
+    of the triangle's edges) and sum (d_u-1)(d_v-1) (= non-induced 4-paths
+    + 3T: the walks x-u-v-y with the edge in the middle, where x = y once
+    per edge of each triangle)."""
+    return np.array([t.sum(), (t * (t - 1) // 2).sum(),
+                     (t * (du + dv - 4)).sum(), ((du - 1) * (dv - 1)).sum()])
+
+
 def _stats_batch(graph, tasks):
     """The stats sweep with the batched kernel's expand/membership code."""
     indptr, keys = graph
     n = len(indptr) - 1
     deg = np.diff(indptr)
-    t_sum = d_sum = paw3 = 0
+    sums = np.zeros(4, dtype=np.int64)
     u, v = tasks[:, 0], tasks[:, 1]
     for lo, hi in chunks(deg[u], MAX_STEP):
         du, dv = deg[u[lo:hi]], deg[v[lo:hi]]
         row, w = expand(keys, u[lo:hi], indptr[u[lo:hi]], du, n)
-        hit = member(keys, v[lo:hi][row], w, n)
-        t = np.bincount(row[hit], minlength=hi - lo)
-        t_sum += int(t.sum())
-        d_sum += int((t * (t - 1)).sum()) // 2
-        paw3 += int(deg[w[hit]].sum()) + int((t * (du + dv - 6)).sum())
-    return t_sum, d_sum, paw3
+        t = np.bincount(row[member(keys, v[lo:hi][row], w, n)], minlength=hi - lo)
+        sums += _edge_sums(t, du, dv)
+    return sums
 
 
 def _stats_scalar(backend: str, graph, tasks):
@@ -94,19 +102,12 @@ def _stats_scalar(backend: str, graph, tasks):
     indptr, indices = graph
     ops = BACKENDS[backend]
     deg = np.diff(indptr)
-    t_sum = 0  # sum of t_e  (= 3T)
-    d_sum = 0  # sum of C(t_e, 2)  (= non-induced diamonds)
-    paw3 = 0  # sum over (edge, apex) of (d_u + d_v + d_w - 6)  (= 3*paw)
-    for u, v in tasks.tolist():
-        nu = indices[indptr[u] : indptr[u + 1]]
-        nv = indices[indptr[v] : indptr[v + 1]]
-        w = ops.intersect(nu, nv, None)
-        t = len(w)
-        if t:
-            t_sum += t
-            d_sum += t * (t - 1) // 2
-            paw3 += int(deg[w].sum()) + t * int(deg[u] + deg[v] - 6)
-    return t_sum, d_sum, paw3
+    t = np.array([
+        len(ops.intersect(indices[indptr[u] : indptr[u + 1]],
+                          indices[indptr[v] : indptr[v + 1]], None))
+        for u, v in tasks.tolist()
+    ], dtype=np.int64)
+    return _edge_sums(t, deg[tasks[:, 0]], deg[tasks[:, 1]])
 
 
 def stats_launch(csr: CSRGraph, engine: DFSEngine) -> Launch:
@@ -130,14 +131,16 @@ def stats_launch(csr: CSRGraph, engine: DFSEngine) -> Launch:
 
 
 def _stats(vec: tuple[int, ...]) -> dict[str, int]:
-    t_sum, d_sum, paw3 = vec
-    return {"T": t_sum // 3, "diamond_non": d_sum, "paw_non": paw3 // 3}
+    t_sum, d_sum, paw2, p4_3t = vec
+    return {"T": t_sum // 3, "diamond_non": d_sum, "paw_non": paw2 // 2,
+            "p4_non": p4_3t - t_sum}
 
 
 def edge_triangle_stats(
     spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> dict[str, int]:
-    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non}."""
+    """One sweep over the reduced edgelist -> {T, diamond_non, paw_non,
+    p4_non}."""
     (vec,) = run_slices(spark, [stats_launch(csr, engine)])
     return _stats(vec)
 
@@ -157,23 +160,18 @@ def count4_counting_only(
     spark: SparkSession, csr: CSRGraph, *, engine: DFSEngine
 ) -> dict[str, int]:
     """All six induced 4-motif counts from decompositions + two real
-    enumerations (4-clique, 4-cycle); the stats sweep uses the engine's
-    ``setops``, and its edgelist gives the non-induced 4-path count. The
-    sweep and both kernels launch in one Spark job."""
+    enumerations (4-clique, 4-cycle). The stats sweep, with the engine's
+    ``setops``, gives the non-induced 4-path, tailed-triangle and diamond
+    counts, and degrees the 3-star count. The sweep and both kernels
+    launch in one Spark job."""
     # 4-cycle has no decomposition (SS5.4).
     kernels = engine.launches(csr, [clique(4), cycle(4)])
-    sweep = stats_launch(csr, engine)
-    vec, (k4, _), (c4_non, _) = run_slices(spark, [sweep, *kernels])
+    vec, (k4, _), (c4_non, _) = run_slices(spark, [stats_launch(csr, engine), *kernels])
     stats = _stats(vec)
-    t = stats["T"]
     deg = csr.degrees.astype(np.int64)
     claw_non = int((deg * (deg - 1) * (deg - 2) // 6).sum())
-    # Non-induced P4: sum over the sweep's undirected edges of
-    # (d_u-1)(d_v-1) - 3T.
-    e = sweep[1]
-    p4_non = int(((deg[e[:, 0]] - 1) * (deg[e[:, 1]] - 1)).sum()) - 3 * t
     non_induced = np.array(
-        [p4_non, claw_non, stats["paw_non"], c4_non, stats["diamond_non"], k4],
+        [stats["p4_non"], claw_non, stats["paw_non"], c4_non, stats["diamond_non"], k4],
         dtype=np.int64,
     )
     # Exact back-substitution: M is unit upper-triangular over the integers.

@@ -177,17 +177,13 @@ class BFSEngine:
         else:
             out = extend_with(adj)
 
-        if plan.induced:
-            for j in plan.anti[lvl]:
-                na = adj.select(
-                    F.col("src").alias("_as"), F.col("dst").alias("_ad")
-                )
-                out = out.join(
-                    na,
-                    (F.col(f"v{j}") == F.col("_as"))
-                    & (F.col(f"v{lvl}") == F.col("_ad")),
-                    "left_anti",
-                )
+        for j in plan.anti[lvl]:
+            na = adj.select(F.col("src").alias("_as"), F.col("dst").alias("_ad"))
+            out = out.join(
+                na,
+                (F.col(f"v{j}") == F.col("_as")) & (F.col(f"v{lvl}") == F.col("_ad")),
+                "left_anti",
+            )
         for j in plan.lower[lvl]:
             out = out.filter(F.col(f"v{lvl}") > F.col(f"v{j}"))
         for j in plan.excl[lvl]:

@@ -148,10 +148,9 @@ def batch_count(
     Level at a time over the whole slice (opt M's bounded BFS): level i
     expands the neighbours of ``conn[i][0]`` above its ``lower`` bounds,
     for at most ``step`` candidates at once, masks ``excl``, and
-    checks the other ``conn`` members (and the ``anti`` members of a
-    vertex-induced plan) with one ``searchsorted`` each; the leaf sums
-    the mask, or counts pairs when ``plan.leaf_reuse()``. Across steps the
-    search stays depth first.
+    checks the other ``conn`` members and the plan's ``anti`` with one
+    ``searchsorted`` each; the leaf sums the mask, or counts pairs when
+    ``plan.leaf_reuse()``. Across steps the search stays depth first.
 
     Returns ``(count, touches)``; touches counts candidate checks.
     """
@@ -173,9 +172,7 @@ def batch_count(
         for j in plan.lower[i]:
             start = np.maximum(start, np.searchsorted(keys, u * n + cols[j], "right"))
         lens = np.maximum(end - start, 0)
-        checks = [(j, True) for j in plan.conn[i][1:]]
-        if plan.induced:
-            checks += [(j, False) for j in plan.anti[i]]
+        checks = [(j, True) for j in plan.conn[i][1:]] + [(j, False) for j in plan.anti[i]]
         total = 0
         for lo, hi in chunks(lens, step):
             pre = [c[lo:hi] for c in cols]

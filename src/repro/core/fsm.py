@@ -294,7 +294,9 @@ def _pruned_graph(adj, labels, sigma) -> tuple[np.ndarray, CSRGraph, np.ndarray]
     vid[keep] = np.arange(len(keep))
     ends = vid[ends]
     lab = np.searchsorted(good, kept["label"].to_numpy())
-    g = build_csr(ends[(ends >= 0).all(axis=1)], n=len(keep), symmetrize=False)
+    # adj holds both directions and the renumbering keeps id order, so the
+    # rows with -1 < src < dst are each edge between kept vertices once.
+    g = build_csr(ends[(ends[:, 0] >= 0) & (ends[:, 0] < ends[:, 1])], n=len(keep))
     return good, g, lab
 
 

@@ -3,12 +3,14 @@ the per-level constraint sets that together form the *search plan*.
 
 A ``SearchPlan`` is the intermediate representation the code generator
 consumes (SS5): for each level i it records which earlier levels to
-intersect with (pattern neighbors), which to difference against
-(non-neighbors, for vertex-induced search), the symmetry-breaking lower
-bounds, and which earlier vertices need an explicit identity exclusion. It
-holds only what its consumers read (the generated kernel, the batched
-kernel and the pattern SQL): the matching order is applied by relabeling
-the pattern into position space and is not kept.
+intersect with (pattern neighbors), which to difference against (the
+non-neighbors of a vertex-induced search, none otherwise), the
+symmetry-breaking lower bounds, and which earlier vertices need an explicit
+identity exclusion. It holds only what its consumers read (the generated
+kernel, the batched kernel, the BFS joins and the pattern SQL), and each
+consumer applies every constraint it lists: the search semantics is stated
+once, by ``build_plan``. The matching order is applied by relabeling the
+pattern into position space and is not kept.
 
 Symmetry order uses the stabilizer-chain construction (the GraphZero
 algorithm the paper adopts): walk positions in matching order; at each
@@ -38,8 +40,9 @@ class SearchPlan:
 
     - ``conn[i]``  — earlier positions adjacent in P: candidate set =
                      intersection of their data-neighborhoods.
-    - ``anti[i]``  — earlier positions non-adjacent in P: subtracted when
-                     searching vertex-induced matches.
+    - ``anti[i]``  — earlier positions whose data vertex must not be
+                     adjacent: P's non-neighbours for a vertex-induced
+                     search, empty for an edge-induced one.
     - ``lower[i]`` — symmetry bounds v_i > v_j: the whole symmetry order,
                      which has no upper bounds (see the module docstring).
     - ``excl[i]``  — earlier positions whose data vertex must merely be
@@ -52,7 +55,6 @@ class SearchPlan:
     anti: tuple[tuple[int, ...], ...]
     lower: tuple[tuple[int, ...], ...]
     excl: tuple[tuple[int, ...], ...]
-    induced: bool
 
     @property
     def k(self) -> int:
@@ -83,12 +85,13 @@ class SearchPlan:
         sum_e C(t_e, 2).
 
         Needs P >= 2, so that the parent is an expanded level whose
-        candidates are grouped by prefix. Never holds for a vertex-induced
-        plan: there the leaf must also be non-adjacent to v_P, which the
-        parent's set does not say.
+        candidates are grouped by prefix, and an empty ``anti[L]``: a leaf
+        with its parent's ``conn`` is not adjacent to v_P in the pattern,
+        so a vertex-induced leaf lists P in ``anti[L]``, a non-edge test
+        the parent's set does not make.
         """
         L, P = self.k - 1, self.k - 2
-        if P < 2 or self.induced or self.conn[L] != self.conn[P]:
+        if P < 2 or self.anti[L] or self.conn[L] != self.conn[P]:
             return False
         if P not in self.lower[L]:
             return False
@@ -146,7 +149,8 @@ def symmetry_order(p_pos: Pattern) -> tuple[tuple[int, int], ...]:
 
 def build_plan(p: Pattern, *, induced: bool) -> SearchPlan:
     """Full pattern analysis: matching order -> relabel to position space ->
-    symmetry order -> per-level constraint sets."""
+    symmetry order -> per-level constraint sets. ``induced`` selects
+    vertex-induced search, whose non-edge tests are the plan's ``anti``."""
     order = matching_order(p)
     # perm[original vertex] = position
     perm = [0] * p.k
@@ -161,7 +165,7 @@ def build_plan(p: Pattern, *, induced: bool) -> SearchPlan:
         a = tuple(j for j in range(i) if not p_pos.has_edge(i, j))
         lo = tuple(j for (j, ii) in sym if ii == i)
         conn.append(c)
-        anti.append(a)
+        anti.append(a if induced else ())
         lower.append(lo)
         excl.append(tuple(j for j in a if j not in lo))
         if i >= 1 and not c:
@@ -172,7 +176,6 @@ def build_plan(p: Pattern, *, induced: bool) -> SearchPlan:
         anti=tuple(anti),
         lower=tuple(lower),
         excl=tuple(excl),
-        induced=induced,
     )
 
 

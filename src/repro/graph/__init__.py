@@ -6,5 +6,3 @@ information (|V|, |E|, max degree) and performing pattern-specific
 preprocessing (orientation, neighbor-list sorting, edgelist reduction).
 Vertex labels stay outside the CSR: only FSM reads them (``core.fsm``).
 """
-from repro.graph.csr import CSRGraph, build_csr  # noqa: F401
-from repro.graph.gen import GRAPHS, LABELED_GRAPHS, generate_graph  # noqa: F401

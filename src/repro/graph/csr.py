@@ -92,7 +92,6 @@ class CSRGraph:
                 np.stack([src[keep], dst[keep]], axis=1),
                 n=self.n,
                 directed=True,
-                symmetrize=False,
             )
         return self._oriented
 
@@ -139,18 +138,18 @@ def build_csr(
     *,
     n: int | None = None,
     directed: bool = False,
-    symmetrize: bool = True,
 ) -> CSRGraph:
     """Build a CSR graph from an ``(m, 2)`` edge array.
 
-    ``symmetrize=True`` (the graph-loader default) stores both directions of
-    every undirected edge; neighbor lists come out sorted ascending, the
-    invariant every set-op primitive relies on.
+    An undirected graph (the graph-loader default) takes each edge once and
+    stores both directions; a ``directed`` one stores the edges as given.
+    Neighbor lists come out sorted ascending, the invariant every set-op
+    primitive relies on.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if n is None:
         n = int(edges.max(initial=-1)) + 1
-    if symmetrize and not directed:
+    if not directed:
         edges = np.concatenate([edges, edges[:, ::-1]])
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     src, dst = edges[order, 0], edges[order, 1]

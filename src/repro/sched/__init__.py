@@ -1,6 +1,1 @@
 """Multi-GPU task scheduling (paper SS7.1), as virtual-GPU simulation."""
-from repro.sched.policies import (  # noqa: F401
-    assign,
-    chunked_round_robin_order,
-    simulate,
-)

@@ -12,6 +12,7 @@ from repro.core.plan import build_plan
 from repro.core.setops import BACKENDS, Counter
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
+from test_plan import ALL_PLANS
 
 CASES = (
     [(p, False) for p in [clique(3), clique(4), clique(5), diamond(), cycle(4), path(4)]]
@@ -92,9 +93,16 @@ def test_pattern_sql_shape():
     assert "NOT EXISTS" in sql, "anti-edge for vertex-induced diamond"
 
 
-def test_pattern_sql_non_induced_has_no_anti():
-    plan = build_plan(diamond(), induced=False)
+EDGE_PLANS = [(n, p) for n, p in ALL_PLANS if not n.endswith("-induced")]
+
+
+@pytest.mark.parametrize("plan", [p for _, p in EDGE_PLANS], ids=[n for n, _ in EDGE_PLANS])
+def test_pattern_sql_non_induced_has_no_anti(plan):
+    """An edge-induced plan lists no non-edge test, so neither generator
+    emits one."""
+    assert not any(plan.anti)
     assert "NOT EXISTS" not in codegen.pattern_sql(plan)
+    assert "ops.difference(" not in codegen.kernel_source(plan, "vertex")
 
 
 def test_pattern_sql_rejects_k1():

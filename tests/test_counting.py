@@ -1,5 +1,6 @@
 """Counting-only pruning tests (opt D): decomposition results must equal
 direct enumeration, and the auto-derived conversion matrix must be exact."""
+import duckdb
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from repro.core import codegen, counting
 from repro.core.counting import MOTIF4_NAMES, conversion_matrix
 from repro.core.engine_dfs import DFSConfig, DFSEngine
 from repro.core.motifs import count_motifs
-from repro.core.pattern import clique, diamond
+from repro.core.pattern import clique, diamond, path, tailed_triangle
 from repro.core.plan import build_plan
 from repro.graph.csr import build_csr
 from repro.graph.gen import adj_pdf, generate_graph
@@ -97,6 +98,24 @@ def test_diamond_counting_only_equals_dfs(spark, g):
     )
 
 
+@pytest.mark.parametrize("setops", ["batched", "python"])
+@pytest.mark.parametrize("name", ["tiny", "tiny_dense", "tiny_skew"])
+def test_edge_triangle_stats_match_oracle(spark, name, setops):
+    """The sweep's closed forms count what DuckDB counts on the pattern
+    SQL of the edge-induced diamond, tailed triangle and 4-path."""
+    gg = build_csr(generate_graph(name)[0])
+    stats = counting.edge_triangle_stats(spark, gg, engine=DFSEngine(DFSConfig(setops)))
+    con = duckdb.connect()
+    con.register("adj", adj_pdf(name))
+    try:
+        for key, p in [("diamond_non", diamond()), ("paw_non", tailed_triangle()),
+                       ("p4_non", path(4))]:
+            sql = codegen.pattern_sql(build_plan(p, induced=False))
+            assert stats[key] == con.execute(sql).fetchone()[0], key
+    finally:
+        con.close()
+
+
 def test_python_backend_stats_agree(spark, g):
     a = counting.edge_triangle_stats(spark, g, engine=DFSEngine())
     b = counting.edge_triangle_stats(spark, g, engine=DFSEngine(DFSConfig("python")))
@@ -122,5 +141,5 @@ def test_edge_triangle_stats_T_matches_tc(spark, g):
 
 def test_stats_keys(spark, g):
     stats = counting.edge_triangle_stats(spark, g, engine=DFSEngine())
-    assert set(stats) == {"T", "diamond_non", "paw_non"}
+    assert set(stats) == {"T", "diamond_non", "paw_non", "p4_non"}
     assert all(v >= 0 for v in stats.values())

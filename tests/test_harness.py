@@ -129,6 +129,7 @@ def test_bench_cell_records_csv_row(monkeypatch):
     monkeypatch.setattr(harness, "run_cell",
                         lambda *a, **kw: calls.append(kw) or result)
     bench = load_bench("test_tables.py")
+    bench.REFERENCE = {}
     recorded = []
     bench.bench_cell(None, Benchmark(), lambda table, row: recorded.append((table, row)),
                      7, "G2Miner", ("mc", 3), "Lj", paper.TABLE7["G2Miner"][(3, "Lj")])
@@ -143,7 +144,9 @@ def test_bench_cell_records_csv_row(monkeypatch):
 
 def test_bench_fails_when_finished_systems_disagree(monkeypatch):
     """Systems that finish the same cell must report the same value (a
-    motif table compared whole); OoM and TO cells are not compared."""
+    motif table compared whole), and that value must be the checked-in
+    reference for its workload and graph, where there is one; OoM and TO
+    cells are not compared."""
     results = {
         ("G2Miner", "Lj"): CellResult(status="ok", value={"wedge": 5, "triangle": 2}),
         ("Pangolin", "Lj"): CellResult(status="OoM"),
@@ -152,10 +155,12 @@ def test_bench_fails_when_finished_systems_disagree(monkeypatch):
         # The two Or tables have the same sum but different motifs.
         ("G2Miner", "Or"): CellResult(status="ok", value={"wedge": 9, "triangle": 1}),
         ("GraphZero", "Or"): CellResult(status="ok", value={"wedge": 8, "triangle": 2}),
+        ("G2Miner", "Fr"): CellResult(status="ok", value={"wedge": 5, "triangle": 2}),
     }
     monkeypatch.setattr(harness, "run_cell",
                         lambda spark, s, w, g, **kw: results[(s, g)])
     bench = load_bench("test_tables.py")
+    bench.REFERENCE = {("mc/3", "Lj"): 7, ("mc/3", "Fr"): 8}
 
     def cell(system, graph):
         bench.bench_cell(None, Benchmark(), lambda table, row: None, 7,
@@ -166,6 +171,8 @@ def test_bench_fails_when_finished_systems_disagree(monkeypatch):
     cell("G2Miner", "Or")
     with pytest.raises(AssertionError, match="GraphZero and G2Miner disagree"):
         cell("GraphZero", "Or")
+    with pytest.raises(AssertionError, match="7 != reference 8"):
+        cell("G2Miner", "Fr")
 
 
 def test_paper_tables_well_formed():

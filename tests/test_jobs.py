@@ -1,6 +1,7 @@
 """Tests of the experiment runners: the benchmark suite's table module
-runs the harness's cells under ids that select one table, a partial run
-keeps the other rows of a results CSV, the jobs/ scripts parse,
+runs the harness's cells under ids that select one table, the checked-in
+results agree with themselves, a partial run keeps the other rows of a
+results CSV, the jobs/ scripts parse,
 EXPERIMENTS.md is up to date with the results CSVs, and the names
 perfbench's tracer wraps exist."""
 import importlib.util
@@ -65,6 +66,25 @@ def test_table_benchmark_cells_have_unique_ids():
     assert [c[1:] for c in bench.CELLS] == [c for no in TABLES for c in table_cells(no)]
     assert len(set(bench.IDS)) == len(bench.IDS) == len(bench.CELLS)
     assert "table7-G2Miner-mc/3-Lj" in bench.IDS
+
+
+def test_results_agree():
+    """The checked-in results, the benchmark suite's reference counts
+    (``REFERENCE``): the finished cells of one (workload, graph) hold one
+    value, and each counting-only decomposition equals the enumeration it
+    replaces on every graph where both finished."""
+    bench = load_bench("test_tables.py")
+    df = pd.concat(pd.read_csv(os.path.join(bench.RESULTS_DIR, f"table{no}.csv"))
+                   for no in TABLES)
+    done = df[df.status == "ok"].groupby(["workload", "graph"]).value
+    assert (done.nunique() == 1).all(), done.unique()[done.nunique() > 1]
+    value = done.first()
+    assert bench.REFERENCE == {key: int(v) for key, v in value.items()}
+    for counted, enumerated in [("counting/diamond", "sl/diamond"),
+                                ("counting/3-motif", "mc/3"), ("counting/4-motif", "mc/4")]:
+        a, b = value[counted], value[enumerated]
+        both = a.index.intersection(b.index)
+        assert len(both) and (a[both] == b[both]).all(), (counted, a, b)
 
 
 def test_partial_run_merges_into_results(monkeypatch, tmp_path):

@@ -61,10 +61,9 @@ def count_with_plan(adj, plan) -> int:
             for j in plan.conn[i]:
                 if not adj[perm[i], perm[j]]:
                     ok = False
-            if plan.induced:
-                for j in plan.anti[i]:
-                    if adj[perm[i], perm[j]]:
-                        ok = False
+            for j in plan.anti[i]:
+                if adj[perm[i], perm[j]]:
+                    ok = False
             if not ok:
                 break
         if ok:
@@ -193,7 +192,7 @@ def test_every_deeper_level_has_a_set_op(plan):
     for i in range(2, plan.k):
         ops = (
             len(plan.conn[i]) - 1
-            + (len(plan.anti[i]) if plan.induced else 0)
+            + len(plan.anti[i])
             + len(plan.lower[i]) + bool(plan.excl[i])
         )
         assert ops >= 1, f"level {i}"
