@@ -93,11 +93,16 @@ def test_pattern_sql_shape():
     assert "NOT EXISTS" in sql, "anti-edge for vertex-induced diamond"
 
 
+def test_pattern_sql_non_induced_has_no_anti():
+    plan = build_plan(diamond(), induced=False)
+    assert "NOT EXISTS" not in codegen.pattern_sql(plan)
+
+
 EDGE_PLANS = [(n, p) for n, p in ALL_PLANS if not n.endswith("-induced")]
 
 
 @pytest.mark.parametrize("plan", [p for _, p in EDGE_PLANS], ids=[n for n, _ in EDGE_PLANS])
-def test_pattern_sql_non_induced_has_no_anti(plan):
+def test_edge_plans_emit_no_anti(plan):
     """An edge-induced plan lists no non-edge test, so neither generator
     emits one."""
     assert not any(plan.anti)
